@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from .errors import AlignmentError, UnknownActorError
-from .pcmatrix import PCMatrix, add, subtract
-from .rhythm import RhythmSequence, cross_rhythm
+from .pcmatrix import PCMatrix, Sums, _first_excess, _profile, add, subtract
+from .rhythm import CROSS, RhythmSequence, _assemble
 
 __all__ = [
     "Collective",
@@ -33,6 +35,10 @@ __all__ = [
 DEFAULT_TIE_TOLERANCE = 1e-9
 DEFAULT_DOMINANCE_SHARE = 0.80
 DEFAULT_MIN_COMPLEMENT_PUBS = 20.0
+
+
+def _cells(m: PCMatrix) -> Iterable[float]:
+    return chain(m.pubs, *m.cites)
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,19 @@ class Collective:
                 f"unknown actor {actor_id!r}; known actors: {known}"
             ) from None
 
+    @cached_property
+    def _pairs_contained(self) -> bool:
+        """Whether every constituent and every pair of constituents is
+        contained in the total, cell by cell, so that subtracting them can
+        never fail. Rounded addition is monotone, so checking the largest
+        and second-largest constituent value of each cell covers them all."""
+        parts = [_cells(m) for m in self.constituents.values()]
+        for x, *column in zip(_cells(self.total), *parts):
+            second, first = sorted((0.0, *column))[-2:]
+            if first + second > x:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -131,6 +150,10 @@ class ValidationReport:
         return not self.errors
 
 
+def _rest_label(c: Collective, ids: list[str]) -> str:
+    return f"{c.label} \\ {{{', '.join(ids)}}}"
+
+
 def complement(c: Collective, actor_ids: Iterable[str]) -> PCMatrix:
     """Total minus the named constituents: the rest of the collective."""
     ids = sorted(set(actor_ids))
@@ -141,7 +164,19 @@ def complement(c: Collective, actor_ids: Iterable[str]) -> PCMatrix:
         m = c.actor(actor_id)
         removed = m if removed is None else add(removed, m)
     rest = subtract(c.total, removed)
-    return rest.relabeled(f"{c.label} \\ {{{', '.join(ids)}}}")
+    return rest.relabeled(_rest_label(c, ids))
+
+
+def _baseline(c: Collective, actor_ids: set[str]) -> tuple[Sums, str]:
+    """Sums and label of ``complement(c, actor_ids)`` for one actor or a
+    pair. Builds no matrix unless the collective might not contain them,
+    in which case :func:`complement` raises the precise error."""
+    ids = sorted(actor_ids)
+    removed = [c.actor(actor_id).sums for actor_id in ids]
+    if not c._pairs_contained:
+        rest = complement(c, ids)
+        return rest.sums, rest.label
+    return c.total.sums - sum(removed[1:], removed[0]), _rest_label(c, ids)
 
 
 def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
@@ -150,7 +185,8 @@ def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
     A yearly ratio above 1 means the actor outperformed the collective's
     average citation level that year; below 1, it lagged it.
     """
-    return cross_rhythm(c.actor(actor_id), complement(c, {actor_id}))
+    sums, label = _baseline(c, {actor_id})
+    return _assemble(c.actor(actor_id), _profile(sums, label), CROSS, label)
 
 
 def actor_vs_actor(
@@ -164,9 +200,10 @@ def actor_vs_actor(
     are judged against the same baseline."""
     if u == v:
         raise ValueError(f"cannot compare actor {u!r} with itself")
-    baseline = complement(c, {u, v})
-    seq_u = cross_rhythm(c.actor(u), baseline)
-    seq_v = cross_rhythm(c.actor(v), baseline)
+    sums, label = _baseline(c, {u, v})
+    profile = _profile(sums, label)
+    seq_u = _assemble(c.actor(u), profile, CROSS, label)
+    seq_v = _assemble(c.actor(v), profile, CROSS, label)
     winners: list[str | None] = []
     for pu, pv in zip(seq_u.points, seq_v.points):
         if pu.ratio is None or pv.ratio is None:
@@ -176,22 +213,10 @@ def actor_vs_actor(
         else:
             winners.append(u if pu.ratio > pv.ratio else v)
     return ComparisonResult(
-        baseline_label=baseline.label,
+        baseline_label=label,
         sequences={u: seq_u, v: seq_v},
         per_year_winner=tuple(winners),
     )
-
-
-def _first_subset_violation(total: PCMatrix, part: PCMatrix) -> str | None:
-    for t, (x, y) in enumerate(zip(total.pubs, part.pubs)):
-        if y > x:
-            return f"publications of {total.first_year + t}: {y} > {x}"
-    for t, (ra, rb) in enumerate(zip(total.cites, part.cites)):
-        for o, (x, y) in enumerate(zip(ra, rb)):
-            if y > x:
-                i = total.first_year + t
-                return f"citations ({i}, {i + o}): {y} > {x}"
-    return None
 
 
 def validate_collective(
@@ -221,7 +246,7 @@ def validate_collective(
     )
 
     for actor_id, m in c.constituents.items():
-        violation = _first_subset_violation(c.total, m)
+        violation = _first_excess(c.total, m)
         if violation is not None:
             findings.append(
                 Finding(

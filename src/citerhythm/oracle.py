@@ -12,8 +12,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import AlignmentError, DataConsistencyError, DomainError
 from .pcmatrix import PCMatrix
 from .rhythm import CROSS, INTERNAL, RhythmPoint, RhythmSequence
@@ -247,6 +245,8 @@ def generate(seed: int, spec: CorpusSpec) -> EventCorpus:
     reproduces how a single extremely highly cited paper can bend a whole
     R-sequence.
     """
+    import numpy as np  # only the generator needs it; keeps start-up light
+
     rng = np.random.default_rng(seed)
     lo, hi = spec.pubs_range
     pub_counts = rng.integers(lo, hi + 1, size=spec.n)

@@ -10,7 +10,10 @@ integer data is the common special case.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate, zip_longest
 
 from .errors import (
     AlignmentError,
@@ -23,6 +26,7 @@ from .errors import (
 
 __all__ = [
     "PCMatrix",
+    "Sums",
     "CkProfile",
     "observed_citations",
     "observed_all",
@@ -30,6 +34,47 @@ __all__ = [
     "add",
     "subtract",
 ]
+
+
+def _pairwise(op, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(map(op, a, b))
+
+
+def _difference(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    diff = _pairwise(operator.sub, a, b)
+    return diff if min(diff) >= 0 else tuple(max(d, 0.0) for d in diff)
+
+
+@dataclass(frozen=True)
+class Sums:
+    """The additive statistics a rhythm needs from a p-c matrix.
+
+    ``pubs[t]`` is year t's publication count, ``rows[t]`` that year's
+    row sum (its observed citations) and ``diagonals[a]`` the citations
+    received ``a`` years after publication, summed over all publication
+    years. All three are additive, so the sums of ``total - actors`` are
+    the total's sums minus the actors' sums, in O(n). Operands must cover
+    the same window. Counts never go negative: a rounding residue below 0
+    left by ``-`` on fractional data is clamped to 0.
+    """
+
+    pubs: tuple[float, ...]
+    rows: tuple[float, ...]
+    diagonals: tuple[float, ...]
+
+    def __add__(self, other: "Sums") -> "Sums":
+        return Sums(
+            _pairwise(operator.add, self.pubs, other.pubs),
+            _pairwise(operator.add, self.rows, other.rows),
+            _pairwise(operator.add, self.diagonals, other.diagonals),
+        )
+
+    def __sub__(self, other: "Sums") -> "Sums":
+        return Sums(
+            _difference(self.pubs, other.pubs),
+            _difference(self.rows, other.rows),
+            _difference(self.diagonals, other.diagonals),
+        )
 
 
 def _check_count(value: float, what: str) -> float:
@@ -149,6 +194,19 @@ class PCMatrix:
     def relabeled(self, label: str) -> "PCMatrix":
         return replace(self, label=label)
 
+    @cached_property
+    def sums(self) -> Sums:
+        """Per-year publications, row sums and diagonal sums, computed once.
+
+        Each sum adds its cells oldest publication year first, exactly as
+        summing the row or diagonal directly would.
+        """
+        return Sums(
+            pubs=self.pubs,
+            rows=tuple(map(sum, self.cites)),
+            diagonals=tuple(map(sum, zip_longest(*self.cites, fillvalue=0.0))),
+        )
+
 
 @dataclass(frozen=True)
 class CkProfile:
@@ -176,12 +234,12 @@ class CkProfile:
 def observed_citations(m: PCMatrix, year: int) -> float:
     """Total citations received within the window by ``year``'s publications
     (the row sum of that publication year)."""
-    return sum(m.cites[m._offset(year)])
+    return m.sums.rows[m._offset(year)]
 
 
 def observed_all(m: PCMatrix) -> tuple[float, ...]:
     """Row sums for every publication year, oldest first."""
-    return tuple(sum(row) for row in m.cites)
+    return m.sums.rows
 
 
 def ck_profile(m: PCMatrix) -> CkProfile:
@@ -193,21 +251,25 @@ def ck_profile(m: PCMatrix) -> CkProfile:
     A span with no publications and no citations yields 0; citations without
     publications are rejected as inconsistent data.
     """
-    n = m.n
+    return _profile(m.sums, m.label)
+
+
+def _profile(sums: Sums, label: str) -> CkProfile:
+    """:func:`ck_profile` of the matrix with these sums and this label."""
+    # Age k's denominator is the publication total of the first n-k+1 years.
+    denominators = reversed(tuple(accumulate(sums.pubs)))
     values = []
-    for k in range(1, n + 1):
-        numerator = sum(m.cites[t][k - 1] for t in range(n - k + 1))
-        denominator = sum(m.pubs[: n - k + 1])
+    for k, (numerator, denominator) in enumerate(zip(sums.diagonals, denominators), 1):
         if denominator == 0:
             if numerator > 0:
                 raise DataConsistencyError(
-                    f"{m.label or 'matrix'}: age {k} has {numerator} citations "
+                    f"{label or 'matrix'}: age {k} has {numerator} citations "
                     "but no publications in the contributing years"
                 )
             values.append(0.0)
         else:
             values.append(numerator / denominator)
-    return CkProfile(values=tuple(values), source_label=m.label)
+    return CkProfile(values=tuple(values), source_label=label)
 
 
 def _check_aligned(a: PCMatrix, b: PCMatrix) -> None:
@@ -231,32 +293,33 @@ def add(a: PCMatrix, b: PCMatrix) -> PCMatrix:
     )
 
 
+def _first_excess(a: PCMatrix, b: PCMatrix) -> str | None:
+    """The first cell where ``b`` exceeds ``a``, publications first, as
+    ``publications of year <year>: y > x`` or ``citations (i, j): y > x``;
+    None when ``b`` is contained in ``a``. Builds no matrix."""
+    for t, (x, y) in enumerate(zip(a.pubs, b.pubs)):
+        if y > x:
+            return f"publications of year {a.first_year + t}: {y} > {x}"
+    for t, (ra, rb) in enumerate(zip(a.cites, b.cites)):
+        for o, (x, y) in enumerate(zip(ra, rb)):
+            if y > x:
+                i = a.first_year + t
+                return f"citations ({i}, {i + o}): {y} > {x}"
+    return None
+
+
 def subtract(a: PCMatrix, b: PCMatrix) -> PCMatrix:
     """Elementwise difference ``a - b``; ``b`` must be contained in ``a``."""
     _check_aligned(a, b)
-    pubs = []
-    for t, (x, y) in enumerate(zip(a.pubs, b.pubs)):
-        if y > x:
-            raise SubsetError(
-                f"publications of year {a.first_year + t}: {y} > {x}; "
-                f"{b.label or 'subtrahend'} is not contained in {a.label or 'minuend'}"
-            )
-        pubs.append(x - y)
-    cites = []
-    for t, (ra, rb) in enumerate(zip(a.cites, b.cites)):
-        row = []
-        for o, (x, y) in enumerate(zip(ra, rb)):
-            if y > x:
-                raise SubsetError(
-                    f"citations ({a.first_year + t}, {a.first_year + t + o}): "
-                    f"{y} > {x}; {b.label or 'subtrahend'} is not contained in "
-                    f"{a.label or 'minuend'}"
-                )
-            row.append(x - y)
-        cites.append(tuple(row))
+    excess = _first_excess(a, b)
+    if excess is not None:
+        raise SubsetError(
+            f"{excess}; {b.label or 'subtrahend'} is not contained in "
+            f"{a.label or 'minuend'}"
+        )
     return PCMatrix(
         first_year=a.first_year,
-        pubs=tuple(pubs),
-        cites=tuple(cites),
+        pubs=_pairwise(operator.sub, a.pubs, b.pubs),
+        cites=tuple(_pairwise(operator.sub, ra, rb) for ra, rb in zip(a.cites, b.cites)),
         label=f"{a.label}-{b.label}" if a.label and b.label else a.label,
     )

@@ -10,9 +10,10 @@ against that other matrix's citation level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import AlignmentError, WindowError
-from .pcmatrix import CkProfile, PCMatrix, _check_aligned, ck_profile, observed_citations
+from .pcmatrix import CkProfile, PCMatrix, _check_aligned, ck_profile
 
 __all__ = [
     "RhythmPoint",
@@ -110,28 +111,30 @@ def _assemble(
     kind: str,
     expectation_label: str,
 ) -> RhythmSequence:
-    points = []
-    undefined = []
-    for year in observed_source.years:
-        obs = observed_citations(observed_source, year)
-        exp = expected_citations(observed_source, profile, year)
-        ratio = obs / exp if exp > 0 else None
-        if ratio is None:
-            undefined.append(year)
-        points.append(RhythmPoint(year=year, observed=obs, expected=exp, ratio=ratio))
-    total_expected = sum(p.expected for p in points)
-    i1 = sum(p.observed for p in points) / total_expected if total_expected > 0 else None
-    i2 = None
-    if not undefined:
-        i2 = sum(p.ratio for p in points) / len(points)
+    m = observed_source
+    if profile.n != m.n:
+        raise AlignmentError(
+            f"profile covers {profile.n} ages but matrix covers {m.n} years"
+        )
+    # Year t's publications span n - t ages, so they are expected to earn
+    # profile.cumulative(n - t) each: the running sums, read backwards.
+    cumulative = reversed(tuple(accumulate(profile.values)))
+    observed = m.sums.rows
+    expected = [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
+    ratios = [obs / exp if exp > 0 else None for obs, exp in zip(observed, expected)]
+    years = m.years
+    undefined = tuple(year for year, ratio in zip(years, ratios) if ratio is None)
+    total_expected = sum(expected)
+    i1 = sum(observed) / total_expected if total_expected > 0 else None
+    i2 = None if undefined else sum(ratios) / len(ratios)
     return RhythmSequence(
-        points=tuple(points),
+        points=tuple(map(RhythmPoint, years, observed, expected, ratios)),
         kind=kind,
-        observed_label=observed_source.label,
+        observed_label=m.label,
         expectation_label=expectation_label,
         i1=i1,
         i2=i2,
-        undefined_years=tuple(undefined),
+        undefined_years=undefined,
     )
 
 

@@ -1,10 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import pytest
 
+import citerhythm
 from citerhythm import PCMatrix, fixture_path, write_matrix
 from citerhythm.cli import format_number, main
 
@@ -315,3 +320,17 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", manifest(), "--trials", "3")
         assert code == 0
         assert "all within" in out
+
+
+def test_import_does_not_load_numpy():
+    # Only the synthetic corpus generator needs numpy; start-up must not.
+    src = str(Path(citerhythm.__file__).resolve().parents[1])
+    probe = "import sys, citerhythm, citerhythm.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

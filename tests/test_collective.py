@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerhythm import (
     AlignmentError,
     Collective,
+    ComparisonResult,
     PCMatrix,
+    RhythmError,
+    SubsetError,
     UnknownActorError,
     actor_vs_actor,
     actor_vs_collective,
@@ -239,3 +244,92 @@ class TestValidate:
     def test_thresholds_configurable(self, scim):
         strict = validate_collective(scim, dominance_share=0.2, min_complement_pubs=5000)
         assert {f.code for f in strict.warnings} == {"dominance", "smallness"}
+
+
+class TestContainment:
+    """Each constituent fits inside the total, but their pair does not."""
+
+    def collective(self):
+        total = small("T", pubs=(10.0, 10.0), cites=((9.0, 9.0), (9.0,)))
+        a = small("A", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,)))
+        b = small("B", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,)))
+        return Collective(label="C", total=total, constituents={"a": a, "b": b})
+
+    def test_each_constituent_validates(self):
+        assert validate_collective(self.collective()).ok
+
+    def test_actor_vs_collective_succeeds(self):
+        c = self.collective()
+        seq = actor_vs_collective(c, "a")
+        assert seq == cross_rhythm(c.actor("a"), complement(c, {"a"}))
+        assert seq.expectation_label == "C \\ {a}"
+
+    def test_pair_raises_the_subtraction_error(self):
+        with pytest.raises(SubsetError) as err:
+            actor_vs_actor(self.collective(), "b", "a")
+        assert str(err.value) == (
+            "publications of year 2000: 12.0 > 10.0; A+B is not contained in T"
+        )
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except RhythmError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def integer_collectives(draw):
+    """K = 2..5 integer-valued actors plus an unnamed remainder over n = 1..12
+    years, zero-publication years included. The total is their cellwise sum,
+    sometimes lowered so that it no longer contains every actor or pair."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 12))
+
+    def matrix(label, high):
+        pubs = draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
+        cites = [
+            draw(st.lists(st.integers(0, high), min_size=n - t, max_size=n - t))
+            for t in range(n)
+        ]
+        return PCMatrix(2000, tuple(map(float, pubs)), tuple(map(tuple, cites)), label)
+
+    actors = {f"a{i}": matrix(f"A{i}", 6) for i in range(k)}
+    total = matrix("rest", 6)
+    for m in actors.values():
+        total = add(total, m)
+    if draw(st.booleans()):
+        deficit = matrix("", 3)
+        clipped = PCMatrix(
+            2000,
+            tuple(map(min, deficit.pubs, total.pubs)),
+            tuple(tuple(map(min, d, t)) for d, t in zip(deficit.cites, total.cites)),
+        )
+        total = subtract(total, clipped)
+    return Collective(label="Z", total=total.relabeled("Z"), constituents=actors)
+
+
+class TestSumsMatchComplements:
+    """Comparisons computed from per-matrix sums equal the rhythms computed
+    against a rebuilt complement matrix, exactly, errors included."""
+
+    @settings(deadline=None)
+    @given(integer_collectives())
+    def test_equivalence(self, c):
+        ids = c.actor_ids
+        for u in ids:
+            assert _outcome(lambda: actor_vs_collective(c, u)) == _outcome(
+                lambda: cross_rhythm(c.actor(u), complement(c, {u}))
+            )
+        for i, u in enumerate(ids):
+            for v in ids[i + 1 :]:
+
+                def rebuilt():
+                    rest = complement(c, {u, v})
+                    return rest.label, {x: cross_rhythm(c.actor(x), rest) for x in (u, v)}
+
+                fast = _outcome(lambda: actor_vs_actor(c, v, u))
+                if isinstance(fast, ComparisonResult):
+                    fast = fast.baseline_label, fast.sequences
+                assert fast == _outcome(rebuilt)
