@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 from .errors import AlignmentError, UnknownActorError
-from .pcmatrix import PCMatrix, Sums, _first_excess, _profile, add, subtract
-from .rhythm import CROSS, RhythmSequence, _assemble
+from .pcmatrix import CkProfile, PCMatrix, _first_excess, add, ck_profile, subtract
+from .rhythm import RhythmSequence, cross_rhythm
 
 __all__ = [
     "Collective",
@@ -41,6 +40,22 @@ def _cells(m: PCMatrix) -> Iterable[float]:
     return chain(m.pubs, *m.cites)
 
 
+def _sums_subtract_exactly(c: "Collective") -> bool:
+    """Whether the total's sums minus any one or two constituents' sums
+    equal the sums of their complement exactly. That holds when every cell
+    holds an integer, the total's cells add up to less than 2**53 (so no
+    sum involved is rounded) and every constituent and every pair of
+    constituents fits inside the total cell by cell (so no complement
+    fails); the largest and second-largest value of each cell stand for
+    all pairs."""
+    parts = [_cells(m) for m in c.constituents.values()]
+    for x, *column in zip(_cells(c.total), *parts):
+        second, first = sorted((0.0, *column))[-2:]
+        if first + second > x or not all(v.is_integer() for v in (x, *column)):
+            return False
+    return sum(_cells(c.total)) < 2.0**53
+
+
 @dataclass(frozen=True)
 class Collective:
     """A named total matrix with named constituent actors.
@@ -48,11 +63,15 @@ class Collective:
     Constituents need not cover the whole total: actors without a named
     matrix simply stay inside every complement. Use :func:`validate_collective`
     for subset/partition/dominance diagnostics. Immutable once built.
+    Building one makes a single pass over every cell to decide whether
+    comparisons can take the rest of the collective from per-matrix sums,
+    in O(n), instead of building a complement matrix.
     """
 
     label: str
     total: PCMatrix
     constituents: dict[str, PCMatrix]
+    _sums_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for actor_id, m in self.constituents.items():
@@ -61,6 +80,7 @@ class Collective:
                     f"constituent {actor_id!r} covers {m.first_year}-{m.last_year}, "
                     f"total covers {self.total.first_year}-{self.total.last_year}"
                 )
+        object.__setattr__(self, "_sums_exact", _sums_subtract_exactly(self))
 
     @classmethod
     def build(
@@ -93,19 +113,6 @@ class Collective:
             raise UnknownActorError(
                 f"unknown actor {actor_id!r}; known actors: {known}"
             ) from None
-
-    @cached_property
-    def _pairs_contained(self) -> bool:
-        """Whether every constituent and every pair of constituents is
-        contained in the total, cell by cell, so that subtracting them can
-        never fail. Rounded addition is monotone, so checking the largest
-        and second-largest constituent value of each cell covers them all."""
-        parts = [_cells(m) for m in self.constituents.values()]
-        for x, *column in zip(_cells(self.total), *parts):
-            second, first = sorted((0.0, *column))[-2:]
-            if first + second > x:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,16 @@ def complement(c: Collective, actor_ids: Iterable[str]) -> PCMatrix:
     return rest.relabeled(_rest_label(c, ids))
 
 
-def _baseline(c: Collective, actor_ids: set[str]) -> tuple[Sums, str]:
-    """Sums and label of ``complement(c, actor_ids)`` for one actor or a
-    pair. Builds no matrix unless the collective might not contain them,
-    in which case :func:`complement` raises the precise error."""
+def _rest_profile(c: Collective, actor_ids: set[str]) -> CkProfile:
+    """``ck_profile(complement(c, actor_ids))`` for one actor or a pair.
+    When that is exact, it is computed from the total's sums minus the
+    actors' sums and builds no matrix."""
     ids = sorted(actor_ids)
+    if not c._sums_exact:
+        return ck_profile(complement(c, ids))
     removed = [c.actor(actor_id).sums for actor_id in ids]
-    if not c._pairs_contained:
-        rest = complement(c, ids)
-        return rest.sums, rest.label
-    return c.total.sums - sum(removed[1:], removed[0]), _rest_label(c, ids)
+    rest = c.total.sums - sum(removed[1:], removed[0])
+    return rest.profile(_rest_label(c, ids))
 
 
 def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
@@ -185,8 +192,7 @@ def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
     A yearly ratio above 1 means the actor outperformed the collective's
     average citation level that year; below 1, it lagged it.
     """
-    sums, label = _baseline(c, {actor_id})
-    return _assemble(c.actor(actor_id), _profile(sums, label), CROSS, label)
+    return cross_rhythm(c.actor(actor_id), _rest_profile(c, {actor_id}))
 
 
 def actor_vs_actor(
@@ -200,10 +206,9 @@ def actor_vs_actor(
     are judged against the same baseline."""
     if u == v:
         raise ValueError(f"cannot compare actor {u!r} with itself")
-    sums, label = _baseline(c, {u, v})
-    profile = _profile(sums, label)
-    seq_u = _assemble(c.actor(u), profile, CROSS, label)
-    seq_v = _assemble(c.actor(v), profile, CROSS, label)
+    baseline = _rest_profile(c, {u, v})
+    seq_u = cross_rhythm(c.actor(u), baseline)
+    seq_v = cross_rhythm(c.actor(v), baseline)
     winners: list[str | None] = []
     for pu, pv in zip(seq_u.points, seq_v.points):
         if pu.ratio is None or pv.ratio is None:
@@ -213,7 +218,7 @@ def actor_vs_actor(
         else:
             winners.append(u if pu.ratio > pv.ratio else v)
     return ComparisonResult(
-        baseline_label=label,
+        baseline_label=baseline.source_label,
         sequences={u: seq_u, v: seq_v},
         per_year_winner=tuple(winners),
     )

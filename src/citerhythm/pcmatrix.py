@@ -40,11 +40,6 @@ def _pairwise(op, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ..
     return tuple(map(op, a, b))
 
 
-def _difference(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    diff = _pairwise(operator.sub, a, b)
-    return diff if min(diff) >= 0 else tuple(max(d, 0.0) for d in diff)
-
-
 @dataclass(frozen=True)
 class Sums:
     """The additive statistics a rhythm needs from a p-c matrix.
@@ -54,8 +49,7 @@ class Sums:
     received ``a`` years after publication, summed over all publication
     years. All three are additive, so the sums of ``total - actors`` are
     the total's sums minus the actors' sums, in O(n). Operands must cover
-    the same window. Counts never go negative: a rounding residue below 0
-    left by ``-`` on fractional data is clamped to 0.
+    the same window.
     """
 
     pubs: tuple[float, ...]
@@ -71,10 +65,28 @@ class Sums:
 
     def __sub__(self, other: "Sums") -> "Sums":
         return Sums(
-            _difference(self.pubs, other.pubs),
-            _difference(self.rows, other.rows),
-            _difference(self.diagonals, other.diagonals),
+            _pairwise(operator.sub, self.pubs, other.pubs),
+            _pairwise(operator.sub, self.rows, other.rows),
+            _pairwise(operator.sub, self.diagonals, other.diagonals),
         )
+
+    def profile(self, label: str = "") -> "CkProfile":
+        """:func:`ck_profile` of the matrix with these sums and this label."""
+        # Age k's denominator is the publication total of the first n-k+1 years.
+        denominators = reversed(tuple(accumulate(self.pubs)))
+        values = []
+        pairs = zip(self.diagonals, denominators)
+        for k, (numerator, denominator) in enumerate(pairs, 1):
+            if denominator == 0:
+                if numerator > 0:
+                    raise DataConsistencyError(
+                        f"{label or 'matrix'}: age {k} has {numerator} citations "
+                        "but no publications in the contributing years"
+                    )
+                values.append(0.0)
+            else:
+                values.append(numerator / denominator)
+        return CkProfile(values=tuple(values), source_label=label)
 
 
 def _check_count(value: float, what: str) -> float:
@@ -234,7 +246,7 @@ class CkProfile:
 def observed_citations(m: PCMatrix, year: int) -> float:
     """Total citations received within the window by ``year``'s publications
     (the row sum of that publication year)."""
-    return m.sums.rows[m._offset(year)]
+    return sum(m.cites[m._offset(year)])
 
 
 def observed_all(m: PCMatrix) -> tuple[float, ...]:
@@ -251,25 +263,7 @@ def ck_profile(m: PCMatrix) -> CkProfile:
     A span with no publications and no citations yields 0; citations without
     publications are rejected as inconsistent data.
     """
-    return _profile(m.sums, m.label)
-
-
-def _profile(sums: Sums, label: str) -> CkProfile:
-    """:func:`ck_profile` of the matrix with these sums and this label."""
-    # Age k's denominator is the publication total of the first n-k+1 years.
-    denominators = reversed(tuple(accumulate(sums.pubs)))
-    values = []
-    for k, (numerator, denominator) in enumerate(zip(sums.diagonals, denominators), 1):
-        if denominator == 0:
-            if numerator > 0:
-                raise DataConsistencyError(
-                    f"{label or 'matrix'}: age {k} has {numerator} citations "
-                    "but no publications in the contributing years"
-                )
-            values.append(0.0)
-        else:
-            values.append(numerator / denominator)
-    return CkProfile(values=tuple(values), source_label=label)
+    return m.sums.profile(m.label)
 
 
 def _check_aligned(a: PCMatrix, b: PCMatrix) -> None:

@@ -93,16 +93,23 @@ class WindowSeries:
     entries: tuple[tuple[int, RhythmSequence], ...]
 
 
+def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
+    """Expected citations of every publication year, oldest first."""
+    if profile.n != m.n:
+        raise AlignmentError(
+            f"profile covers {profile.n} ages but matrix covers {m.n} years"
+        )
+    # Year t's publications span n - t ages, so they are expected to earn
+    # profile.cumulative(n - t) each: the running sums, read backwards.
+    cumulative = reversed(tuple(accumulate(profile.values)))
+    return [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
+
+
 def expected_citations(pubs_source: PCMatrix, profile: CkProfile, year: int) -> float:
     """Citations ``year``'s publications would earn at the profile's average
     rate: the publication count times the per-age averages summed over the
     ages that still fit in the window."""
-    if profile.n != pubs_source.n:
-        raise AlignmentError(
-            f"profile covers {profile.n} ages but matrix covers {pubs_source.n} years"
-        )
-    t = pubs_source._offset(year)
-    return pubs_source.pubs[t] * profile.cumulative(pubs_source.n - t)
+    return _expected(pubs_source, profile)[pubs_source._offset(year)]
 
 
 def _assemble(
@@ -112,15 +119,8 @@ def _assemble(
     expectation_label: str,
 ) -> RhythmSequence:
     m = observed_source
-    if profile.n != m.n:
-        raise AlignmentError(
-            f"profile covers {profile.n} ages but matrix covers {m.n} years"
-        )
-    # Year t's publications span n - t ages, so they are expected to earn
-    # profile.cumulative(n - t) each: the running sums, read backwards.
-    cumulative = reversed(tuple(accumulate(profile.values)))
+    expected = _expected(m, profile)
     observed = m.sums.rows
-    expected = [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
     ratios = [obs / exp if exp > 0 else None for obs, exp in zip(observed, expected)]
     years = m.years
     undefined = tuple(year for year, ratio in zip(years, ratios) if ratio is None)
@@ -143,9 +143,17 @@ def internal_rhythm(m: PCMatrix) -> RhythmSequence:
     return _assemble(m, ck_profile(m), INTERNAL, m.label)
 
 
-def cross_rhythm(observed_source: PCMatrix, expectation_source: PCMatrix) -> RhythmSequence:
+def cross_rhythm(
+    observed_source: PCMatrix,
+    expectation_source: PCMatrix | CkProfile,
+) -> RhythmSequence:
     """R-sequence with observed values from one matrix and the expectation
-    profile from another covering the same window."""
+    profile from another covering the same window. A profile computed
+    beforehand may stand in for that matrix; its ``source_label`` then
+    names the expectation."""
+    if isinstance(expectation_source, CkProfile):
+        profile = expectation_source
+        return _assemble(observed_source, profile, CROSS, profile.source_label)
     _check_aligned(observed_source, expectation_source)
     return _assemble(
         observed_source,

@@ -6,6 +6,7 @@ from citerhythm import (
     AlignmentError,
     Collective,
     ComparisonResult,
+    DataConsistencyError,
     PCMatrix,
     RhythmError,
     SubsetError,
@@ -226,6 +227,14 @@ class TestValidate:
         assert "'china'" in finding.message
         assert "(2015, 2016)" in finding.message
 
+    def test_subset_violation_names_publication_year(self):
+        total = small("T", pubs=(4.0, 2.0))
+        c = Collective(label="C", total=total, constituents={"x": small(pubs=(4.0, 3.0))})
+        [finding] = validate_collective(c).errors
+        assert finding.message == (
+            "constituent 'x' exceeds the total: publications of year 2001: 3.0 > 2.0"
+        )
+
     def test_partition_residual(self, china, scim_minus_china, brazil):
         total = add(china, scim_minus_china)
         partial = Collective(label="SCIM", total=total, constituents={"china": china})
@@ -279,28 +288,31 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+# Cell values of the fractional collectives: sums of these round, and the
+# tiniest one vanishes next to 1.0.
+FRACTIONS = (0.0, 2.0**-53, 0.1, 1 / 3, 0.5, 1.0, 2.5)
+
+
 @st.composite
-def integer_collectives(draw):
-    """K = 2..5 integer-valued actors plus an unnamed remainder over n = 1..12
-    years, zero-publication years included. The total is their cellwise sum,
+def collectives(draw, fractional=False):
+    """K = 2..5 actors plus an unnamed remainder over n = 1..12 years,
+    zero-publication years included. The total is their cellwise sum,
     sometimes lowered so that it no longer contains every actor or pair."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(1, 12))
+    value = st.sampled_from(FRACTIONS) if fractional else st.integers(0, 6)
 
-    def matrix(label, high):
-        pubs = draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
-        cites = [
-            draw(st.lists(st.integers(0, high), min_size=n - t, max_size=n - t))
-            for t in range(n)
-        ]
-        return PCMatrix(2000, tuple(map(float, pubs)), tuple(map(tuple, cites)), label)
+    def matrix(label):
+        pubs = draw(st.lists(value, min_size=n, max_size=n))
+        cites = [draw(st.lists(value, min_size=n - t, max_size=n - t)) for t in range(n)]
+        return PCMatrix(2000, tuple(pubs), tuple(map(tuple, cites)), label)
 
-    actors = {f"a{i}": matrix(f"A{i}", 6) for i in range(k)}
-    total = matrix("rest", 6)
+    actors = {f"a{i}": matrix(f"A{i}") for i in range(k)}
+    total = matrix("rest")
     for m in actors.values():
         total = add(total, m)
     if draw(st.booleans()):
-        deficit = matrix("", 3)
+        deficit = matrix("")
         clipped = PCMatrix(
             2000,
             tuple(map(min, deficit.pubs, total.pubs)),
@@ -310,26 +322,80 @@ def integer_collectives(draw):
     return Collective(label="Z", total=total.relabeled("Z"), constituents=actors)
 
 
+def assert_matches_complements(c):
+    ids = c.actor_ids
+    for u in ids:
+        assert _outcome(lambda: actor_vs_collective(c, u)) == _outcome(
+            lambda: cross_rhythm(c.actor(u), complement(c, {u}))
+        )
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+
+            def rebuilt():
+                rest = complement(c, {u, v})
+                return rest.label, {x: cross_rhythm(c.actor(x), rest) for x in (u, v)}
+
+            fast = _outcome(lambda: actor_vs_actor(c, v, u))
+            if isinstance(fast, ComparisonResult):
+                fast = fast.baseline_label, fast.sequences
+            assert fast == _outcome(rebuilt)
+
+
 class TestSumsMatchComplements:
-    """Comparisons computed from per-matrix sums equal the rhythms computed
-    against a rebuilt complement matrix, exactly, errors included."""
+    """Comparisons equal the rhythms computed against a rebuilt complement
+    matrix, exactly, errors included."""
 
     @settings(deadline=None)
-    @given(integer_collectives())
-    def test_equivalence(self, c):
-        ids = c.actor_ids
-        for u in ids:
-            assert _outcome(lambda: actor_vs_collective(c, u)) == _outcome(
-                lambda: cross_rhythm(c.actor(u), complement(c, {u}))
-            )
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
+    @given(collectives())
+    def test_integer_collectives(self, c):
+        assert_matches_complements(c)
 
-                def rebuilt():
-                    rest = complement(c, {u, v})
-                    return rest.label, {x: cross_rhythm(c.actor(x), rest) for x in (u, v)}
+    @settings(deadline=None)
+    @given(collectives(fractional=True))
+    def test_fractional_collectives(self, c):
+        assert_matches_complements(c)
 
-                fast = _outcome(lambda: actor_vs_actor(c, v, u))
-                if isinstance(fast, ComparisonResult):
-                    fast = fast.baseline_label, fast.sequences
-                assert fast == _outcome(rebuilt)
+    def test_integer_collective_builds_no_complement(self, monkeypatch, scim):
+        def refuse(*args):
+            raise AssertionError("complement built")
+
+        monkeypatch.setattr("citerhythm.collective.complement", refuse)
+        assert actor_vs_collective(scim, "china").n == scim.total.n
+        assert actor_vs_actor(scim, "brazil", "netherlands").baseline_label == (
+            "SCIM \\ {brazil, netherlands}"
+        )
+
+    def test_rounding_residue_without_publications(self):
+        # Age 1's cells of A and B add up to 1 + 2**-52 in the total, but
+        # their diagonal sums add up to 1.0: subtracting sums would leave a
+        # residue of citations where the rest has neither cells nor
+        # publications.
+        a = small("A", pubs=(1.0, 1.0), cites=((1.0, 0.0), (2.0**-53,)))
+        b = small("B", pubs=(1.0, 1.0), cites=((0.0, 0.0), (2.0**-53,)))
+        c = Collective.build("C", {"a": a, "b": b})
+        result = actor_vs_actor(c, "a", "b")
+        assert result.per_year_winner == (None, None)
+        assert all(seq.undefined_years == (2000, 2001) for seq in result.sequences.values())
+        assert_matches_complements(c)
+
+    def test_counts_beyond_float_precision(self):
+        # Age 1 of the total holds 2**53 and 1 citations; their sum rounds to
+        # 2**53, the actor's own, so subtracting sums would lose the rest's 1.
+        total = small("T", pubs=(2.0, 2.0), cites=((2.0**53, 0.0), (1.0,)))
+        a = small("A", pubs=(1.0, 1.0), cites=((2.0**53, 0.0), (0.0,)))
+        c = Collective(label="C", total=total, constituents={"a": a})
+        assert actor_vs_collective(c, "a").ratios == (2.0**54, 0.0)
+        assert_matches_complements(c)
+
+    def test_citations_lost_to_rounding_still_raise(self):
+        # The rest holds 2**-53 citations at age 1 and no publications. Its
+        # diagonal sum, 1 + 2**-53, rounds to 1.0 in the total.
+        total = small("T", pubs=(1.0, 1.0), cites=((1.0, 0.0), (2.0**-53,)))
+        a = small("A", pubs=(1.0, 1.0), cites=((1.0, 0.0), (0.0,)))
+        c = Collective(label="C", total=total, constituents={"a": a})
+        with pytest.raises(DataConsistencyError) as err:
+            actor_vs_collective(c, "a")
+        assert str(err.value) == (
+            "C \\ {a}: age 1 has 1.1102230246251565e-16 citations "
+            "but no publications in the contributing years"
+        )
