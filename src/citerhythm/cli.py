@@ -295,7 +295,7 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 def _looks_like_manifest(path: Path) -> bool:
     try:
-        head = path.read_text(encoding="utf-8", errors="replace")
+        head = path.read_text(encoding="utf-8-sig", errors="replace")
     except OSError:
         return False
     for line in head.splitlines():
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RhythmError, FileNotFoundError, ValueError) as exc:
+    except (RhythmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -68,7 +69,43 @@ def _cell_value(cell: str, line: int, column: int) -> float:
         raise MatrixParseError(f"not a number: {cell!r}", line, column) from None
     if value < 0:
         raise DomainError(f"line {line}, column {column}: negative count {cell!r}")
+    if not math.isfinite(value):
+        raise DomainError(
+            f"line {line}, column {column}: count must be finite, got {cell!r}"
+        )
     return value
+
+
+def _row_counts(
+    row: list[str], t: int, line: int
+) -> tuple[float, tuple[float, ...]]:
+    """Publication count and on-or-above-diagonal cells of data row ``t``.
+
+    The row is converted in bulk; a row that fails the bulk check is walked
+    cell by cell in reading order, which raises at its first bad cell (or,
+    when only the bulk sum overflowed, returns the same values).
+    """
+    try:
+        pub = float(row[1])
+        cells = tuple(map(float, row[2 + t :]))
+    except ValueError:
+        pass
+    else:
+        if (
+            pub >= 0
+            and min(cells) >= 0
+            and math.isfinite(sum(cells, pub))
+            and not any(row[2 : 2 + t])
+        ):
+            return pub, cells
+    pub = _cell_value(row[1], line, 2)
+    for column, cell in enumerate(row[2 : 2 + t], 3):
+        if cell != "":
+            raise LayoutError("cell below the diagonal must be blank", line, column)
+    cells = tuple(
+        _cell_value(cell, line, column) for column, cell in enumerate(row[2 + t :], 3 + t)
+    )
+    return pub, cells
 
 
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
@@ -107,42 +144,28 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
                 line,
                 1,
             )
-        pubs.append(_cell_value(row[1], line, 2))
-        cells = []
-        for j, cell in enumerate(row[2:]):
-            column = j + 3
-            if j < t:
-                if cell != "":
-                    raise LayoutError(
-                        "cell below the diagonal must be blank", line, column
-                    )
-            else:
-                cells.append(_cell_value(cell, line, column))
-        cites.append(tuple(cells))
+        pub, cells = _row_counts(row, t, line)
+        pubs.append(pub)
+        cites.append(cells)
 
-    return PCMatrix(
-        first_year=citing_years[0],
-        pubs=tuple(pubs),
-        cites=tuple(cites),
-        label=label,
-    )
+    # Every count passed _cell_value's checks, in bulk or cell by cell, so
+    # the matrix skips the constructor's second pass over the same cells.
+    return PCMatrix._of(citing_years[0], tuple(pubs), tuple(cites), label)
 
 
 def _format_count(value: float) -> str:
     # Integers without a decimal point; everything else as the shortest
     # decimal that round-trips.
-    return str(int(value)) if value == int(value) else repr(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def write_matrix(m: PCMatrix) -> str:
     """Render a matrix as canonical CSV (LF endings, blank cells below the
     diagonal); parsing the result reproduces the matrix exactly."""
-    lines = ["year,pubs," + ",".join(str(y) for y in m.years)]
-    for t, year in enumerate(m.years):
-        cells = [str(year), _format_count(m.pubs[t])]
-        cells.extend([""] * t)
-        cells.extend(_format_count(v) for v in m.cites[t])
-        lines.append(",".join(cells))
+    lines = ["year,pubs," + ",".join(map(str, m.years))]
+    for t, (year, pub, row) in enumerate(zip(m.years, m.pubs, m.cites)):
+        cells = ",".join(map(_format_count, row))
+        lines.append(f"{year},{_format_count(pub)},{',' * t}{cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -150,7 +173,7 @@ def read_matrix_file(path: str | Path, label: str | None = None) -> MatrixFile:
     """Read and parse a matrix CSV file; the label defaults to the file stem."""
     path = Path(path)
     raw = path.read_bytes()
-    matrix = parse_matrix(raw.decode("utf-8"), label=label or path.stem)
+    matrix = parse_matrix(raw.decode("utf-8-sig"), label=label or path.stem)
     return MatrixFile(path=path, matrix=matrix, sha256=hashlib.sha256(raw).hexdigest())
 
 
@@ -168,7 +191,7 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     base = path.parent

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, zip_longest
 
@@ -132,6 +132,25 @@ class PCMatrix:
         object.__setattr__(self, "cites", tuple(rows))
 
     @classmethod
+    def _of(
+        cls,
+        first_year: int,
+        pubs: tuple[float, ...],
+        cites: tuple[tuple[float, ...], ...],
+        label: str,
+    ) -> "PCMatrix":
+        """A matrix of cells that are already finite, non-negative floats in
+        the shape ``__post_init__`` enforces, without checking them again.
+        Only for cells taken from validated matrices or parsed by
+        ``ingest.parse_matrix``; outside data goes through the constructor."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "first_year", first_year)
+        object.__setattr__(m, "pubs", pubs)
+        object.__setattr__(m, "cites", cites)
+        object.__setattr__(m, "label", label)
+        return m
+
+    @classmethod
     def zero(cls, first_year: int, n: int, label: str = "") -> "PCMatrix":
         """All-zero matrix over ``n`` years starting at ``first_year``."""
         if n < 1:
@@ -193,18 +212,15 @@ class PCMatrix:
             raise WindowError(
                 f"window {start_year}+{length} overruns year {self.last_year}"
             )
-        return replace(
-            self,
-            first_year=start_year,
-            pubs=self.pubs[s : s + length],
-            cites=tuple(
-                self.cites[s + t][: length - t] for t in range(length)
-            ),
-            label=self.label,
+        return self._of(
+            start_year,
+            self.pubs[s : s + length],
+            tuple(self.cites[s + t][: length - t] for t in range(length)),
+            self.label,
         )
 
     def relabeled(self, label: str) -> "PCMatrix":
-        return replace(self, label=label)
+        return self._of(self.first_year, self.pubs, self.cites, label)
 
     @cached_property
     def sums(self) -> Sums:
@@ -311,9 +327,10 @@ def subtract(a: PCMatrix, b: PCMatrix) -> PCMatrix:
             f"{excess}; {b.label or 'subtrahend'} is not contained in "
             f"{a.label or 'minuend'}"
         )
-    return PCMatrix(
-        first_year=a.first_year,
-        pubs=_pairwise(operator.sub, a.pubs, b.pubs),
-        cites=tuple(_pairwise(operator.sub, ra, rb) for ra, rb in zip(a.cites, b.cites)),
-        label=f"{a.label}-{b.label}" if a.label and b.label else a.label,
+    # Every cell is x - y with finite 0 <= y <= x, so finite and >= 0.
+    return PCMatrix._of(
+        a.first_year,
+        _pairwise(operator.sub, a.pubs, b.pubs),
+        tuple(_pairwise(operator.sub, ra, rb) for ra, rb in zip(a.cites, b.cites)),
+        f"{a.label}-{b.label}" if a.label and b.label else a.label,
     )

@@ -164,6 +164,22 @@ class TestInternal:
         assert target.read_text().startswith("year,observed")
 
 
+class TestBadInput:
+    def test_non_finite_cell_positioned(self, capsys, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("year,pubs,2020,2021\n2020,1,2,nan\n2021,1,,3\n")
+        code, out, err = run(capsys, "internal", str(p))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2, column 4: count must be finite, got 'nan'\n"
+
+    def test_directory_argument_reports_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "internal", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+
 class TestExternal:
     def test_china_csv_matches_published_table(self, capsys, golden):
         code, out, _ = run(
@@ -318,6 +334,15 @@ class TestOracleCheck:
 
     def test_manifest_input(self, capsys):
         code, out, _ = run(capsys, "oracle-check", manifest(), "--trials", "3")
+        assert code == 0
+        assert "all within" in out
+
+    def test_manifest_with_utf8_bom_detected(self, capsys, tmp_path):
+        for name in ("scim_total.csv", "china.csv", "brazil.csv", "netherlands.csv"):
+            (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
+        p = tmp_path / "scim.manifest"
+        p.write_bytes(b"\xef\xbb\xbf" + fixture_path("scim.manifest").read_bytes())
+        code, out, _ = run(capsys, "oracle-check", str(p), "--trials", "3")
         assert code == 0
         assert "all within" in out
 

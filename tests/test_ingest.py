@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from citerhythm import (
     ManifestError,
     MatrixParseError,
     PCMatrix,
+    RhythmError,
     add,
     build_collective,
     fixture_path,
@@ -80,6 +82,39 @@ class TestParse:
         with pytest.raises(LayoutError):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999", "NaN", "Infinity"])
+    def test_non_finite_cell_position_reported(self, token):
+        text = f"year,pubs,2020,2021\n2020,1,2,{token}\n2021,1,,3\n"
+        with pytest.raises(DomainError) as err:
+            parse_matrix(text)
+        assert str(err.value) == (
+            f"line 2, column 4: count must be finite, got {token!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # The first bad cell in reading order wins, whatever its kind.
+            (["2020,1,nan,x", "2021,1,,-3"], "line 2, column 3: count must be finite"),
+            (["2020,1,2,-3", "2021,1,,nan"], "line 2, column 4: negative count"),
+            (["2020,inf,2,x", "2021,1,,3"], "line 2, column 2: count must be finite"),
+            (["2020,1,2,3", "2021,1,5,inf"], "line 3, column 3: cell below the diagonal"),
+            (["2020,1,2,3", "2021,-1,5,3"], "line 3, column 2: negative count"),
+            (["2020,1,2,3", "2021,nan,,3"], "line 3, column 2: count must be finite"),
+            (["2020,1,2,-inf", "2021,1,,3"], "line 2, column 4: negative count '-inf'"),
+        ],
+    )
+    def test_first_bad_cell_in_reading_order(self, rows, message):
+        text = "year,pubs,2020,2021\n" + "\n".join(rows) + "\n"
+        with pytest.raises(RhythmError) as err:
+            parse_matrix(text)
+        assert str(err.value).startswith(message)
+
+    def test_row_whose_sum_overflows_still_parses(self):
+        # Every cell is finite; only their sum is not.
+        m = parse_matrix("year,pubs,2020,2021\n2020,1,1e308,1e308\n2021,1,,3\n")
+        assert m == PCMatrix(2020, (1.0, 1.0), ((1e308, 1e308), (3.0,)))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -94,6 +129,67 @@ class TestParse:
     def test_layout_errors(self, text):
         with pytest.raises(LayoutError):
             parse_matrix(text)
+
+
+_TOKENS = ["-1", "x", "nan", "inf", "-inf", "1e999", "1e308", "", "0", "-0", " 3 ", "1.5"]
+
+
+def _expected_parse(first_year: int, grid: list[list[str]]):
+    """What parsing the data rows ``grid`` must give, worked out cell by cell
+    in reading order: a matrix from the validating constructor, or the error
+    type and the ``line L, column C`` of the first bad cell."""
+    pubs, cites = [], []
+    for t, row in enumerate(grid):
+        line = t + 2
+        values = []
+        for column, cell in enumerate(row[1:], 2):
+            if 3 <= column < 3 + t:
+                if cell != "":
+                    return LayoutError, line, column
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                return MatrixParseError, line, column
+            if value < 0 or not math.isfinite(value):
+                return DomainError, line, column
+            values.append(value)
+        pubs.append(values[0])
+        cites.append(values[1:])
+    return PCMatrix(first_year, pubs, cites)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid matrix CSV with one or two cells replaced by tricky tokens."""
+    n = draw(st.integers(1, 6))
+    pubs = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    cites = [draw(st.lists(st.integers(0, 25), min_size=n - t, max_size=n - t))
+             for t in range(n)]
+    m = PCMatrix(2000, pubs, cites)
+    lines = write_matrix(m).splitlines()
+    grid = [line.split(",") for line in lines[1:]]
+    for _ in range(draw(st.integers(1, 2))):
+        t = draw(st.integers(0, n - 1))
+        column = draw(st.integers(2, n + 2))
+        grid[t][column - 1] = draw(st.sampled_from(_TOKENS))
+    text = "\n".join([lines[0], *(",".join(row) for row in grid)]) + "\n"
+    return text, grid
+
+
+class TestParseEqualsCellByCellCheck:
+    @given(damaged_documents())
+    def test_parse_or_first_bad_cell(self, document):
+        text, grid = document
+        expected = _expected_parse(2000, grid)
+        if isinstance(expected, PCMatrix):
+            assert parse_matrix(text) == expected
+            return
+        kind, line, column = expected
+        with pytest.raises(RhythmError) as err:
+            parse_matrix(text)
+        assert type(err.value) is kind
+        assert str(err.value).startswith(f"line {line}, column {column}: ")
 
 
 class TestWrite:
@@ -141,6 +237,15 @@ class TestMatrixFile:
         mf = read_matrix_file(fixture_path("china.csv"), label="People's Republic")
         assert mf.matrix.label == "People's Republic"
 
+    def test_utf8_bom_accepted(self, tmp_path, china):
+        raw = b"\xef\xbb\xbf" + fixture_path("china.csv").read_bytes()
+        path = tmp_path / "china.csv"
+        path.write_bytes(raw)
+        mf = read_matrix_file(path)
+        assert mf.matrix == china
+        assert mf.matrix.label == "china"
+        assert mf.sha256 == hashlib.sha256(raw).hexdigest()
+
 
 class TestFixtureCorpus:
     @pytest.mark.parametrize(
@@ -183,6 +288,14 @@ class TestManifest:
         assert scim.actor_ids == ("china", "brazil", "netherlands")
         assert scim.total.label == "SCIM"
         assert scim.actor("netherlands").label == "Netherlands"
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        shipped = fixture_path("scim.manifest")
+        path = tmp_path / "scim.manifest"
+        path.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
+        man = parse_manifest(path)
+        assert man.label == "SCIM"
+        assert [a.actor_id for a in man.actors] == ["china", "brazil", "netherlands"]
 
     def _write(self, tmp_path, body, name="test.manifest"):
         p = tmp_path / name

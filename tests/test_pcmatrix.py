@@ -45,6 +45,40 @@ def aligned_matrix_pairs(draw, max_n=8):
     return a, b
 
 
+_COUNTS = st.one_of(
+    st.integers(0, 40).map(float),
+    st.sampled_from([-0.0, 0.1, 2.5, 1e-300, 1e300]),
+    st.floats(0, 1e6),
+)
+
+
+@st.composite
+def contained_pairs(draw, max_n=6):
+    """A matrix of mixed integer, fractional and extreme counts, and a
+    matrix contained in it (each cell a fraction of the first one's)."""
+    n = draw(st.integers(1, max_n))
+    first_year = draw(st.integers(1950, 2020))
+    pubs = draw(st.lists(_COUNTS, min_size=n, max_size=n))
+    cites = [draw(st.lists(_COUNTS, min_size=n - t, max_size=n - t)) for t in range(n)]
+    a = PCMatrix(first_year, pubs, cites, label=draw(st.sampled_from(["", "a"])))
+    part = st.one_of(st.just(1.0), st.just(0.0), st.floats(0, 1))
+    b = PCMatrix(
+        first_year,
+        [x * draw(part) for x in pubs],
+        [[x * draw(part) for x in row] for row in cites],
+        label=draw(st.sampled_from(["", "b"])),
+    )
+    return a, b
+
+
+def _same(result: PCMatrix, expected: PCMatrix) -> None:
+    assert result == expected
+    assert result.label == expected.label
+    assert result.sums == expected.sums
+    assert type(result.pubs) is tuple and all(type(x) is float for x in result.pubs)
+    assert all(type(row) is tuple for row in result.cites)
+
+
 def toy3() -> PCMatrix:
     return PCMatrix(
         first_year=2000,
@@ -266,3 +300,40 @@ class TestWindow:
         assert m.total_pubs == 7.0
         assert m.total_cites == 13.0
         assert math.isclose(sum(observed_all(m)), m.total_cites)
+
+
+class TestDerivedMatricesEqualValidatedOnes:
+    """Windows, relabels and differences reuse already validated cells; they
+    must equal what the validating constructor builds from the same cells."""
+
+    @given(contained_pairs(), st.data())
+    def test_window(self, pair, data):
+        m = pair[0]
+        length = data.draw(st.integers(1, m.n))
+        s = data.draw(st.integers(0, m.n - length))
+        expected = PCMatrix(
+            m.first_year + s,
+            m.pubs[s : s + length],
+            [m.cites[s + t][: length - t] for t in range(length)],
+            m.label,
+        )
+        _same(m.window(m.first_year + s, length), expected)
+
+    @given(contained_pairs(), st.sampled_from(["", "x", "rest of SCIM"]))
+    def test_relabeled(self, pair, label):
+        m = pair[0]
+        _same(m.relabeled(label), PCMatrix(m.first_year, m.pubs, m.cites, label))
+
+    @given(contained_pairs())
+    def test_subtract(self, pair):
+        a, b = pair
+        expected = PCMatrix(
+            a.first_year,
+            [x - y for x, y in zip(a.pubs, b.pubs)],
+            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.cites, b.cites)],
+            f"{a.label}-{b.label}" if a.label and b.label else a.label,
+        )
+        _same(subtract(a, b), expected)
+
+    def test_parsed_matrix_equals_validated(self, china):
+        _same(china, PCMatrix(china.first_year, china.pubs, china.cites, china.label))
