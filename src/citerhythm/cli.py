@@ -294,15 +294,16 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _looks_like_manifest(path: Path) -> bool:
+    """Whether the first line that is not blank or a comment is
+    ``[collective]``; reads no further than that line."""
     try:
-        head = path.read_text(encoding="utf-8-sig", errors="replace")
+        with path.open(encoding="utf-8-sig", errors="replace") as lines:
+            for line in lines:
+                line = line.strip()
+                if line and not line.startswith(("#", ";")):
+                    return line == "[collective]"
     except OSError:
         return False
-    for line in head.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        return line == "[collective]"
     return False
 
 

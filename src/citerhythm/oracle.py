@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, DataConsistencyError, DomainError
@@ -237,6 +238,28 @@ class CorpusSpec:
             raise ValueError("magnet_share must be within [0, 1]")
 
 
+_POISSON_CHUNK = 500.0
+
+
+def _poisson(rng: random.Random, lam: float) -> int:
+    """Exact Poisson draw with mean ``lam`` by the multiplication method.
+
+    A sum of independent Poisson draws is Poisson with the summed mean, so
+    the mean is split into equal chunks of at most ``_POISSON_CHUNK``:
+    ``exp(-lam)`` underflows past ~745, and magnet rates reach thousands.
+    """
+    count = 0
+    chunks = math.ceil(lam / _POISSON_CHUNK)
+    if chunks:
+        limit = math.exp(-lam / chunks)
+        for _ in range(chunks):
+            product = rng.random()
+            while product > limit:
+                count += 1
+                product *= rng.random()
+    return count
+
+
 def generate(seed: int, spec: CorpusSpec) -> EventCorpus:
     """Deterministic synthetic corpus: same seed, same corpus.
 
@@ -245,21 +268,19 @@ def generate(seed: int, spec: CorpusSpec) -> EventCorpus:
     reproduces how a single extremely highly cited paper can bend a whole
     R-sequence.
     """
-    import numpy as np  # only the generator needs it; keeps start-up light
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     lo, hi = spec.pubs_range
-    pub_counts = rng.integers(lo, hi + 1, size=spec.n)
+    pub_counts = [rng.randint(lo, hi) for _ in range(spec.n)]
     events = []
-    for t in range(spec.n):
+    for t, papers in enumerate(pub_counts):
         year = spec.first_year + t
-        rates = np.asarray(spec.age_curve[: spec.n - t])
-        for _ in range(int(pub_counts[t])):
+        rates = spec.age_curve[: spec.n - t]
+        for _ in range(papers):
             factor = 1.0
             if spec.magnet_share > 0 and rng.random() < spec.magnet_share:
-                factor = 10.0 * (1.0 + rng.pareto(1.5))
-            counts = rng.poisson(rates * factor)
-            for age, count in enumerate(counts):
+                factor = 10.0 * rng.paretovariate(1.5)
+            for age, rate in enumerate(rates):
+                count = _poisson(rng, rate * factor)
                 if count > 0:
                     events.append(
                         CitationEvent(year, year + age, weight=float(count))

@@ -86,7 +86,12 @@ class Sums:
                 values.append(0.0)
             else:
                 values.append(numerator / denominator)
-        return CkProfile(values=tuple(values), source_label=label)
+        # Sums are finite, so only a quotient can overflow (a tiny
+        # denominator under a large diagonal sum); quotients are >= 0.
+        top = max(values, default=0.0)
+        if not math.isfinite(top):
+            raise DomainError(f"profile value must be finite, got {top!r}")
+        return CkProfile._of(tuple(values), label)
 
 
 def _check_count(value: float, what: str) -> float:
@@ -227,13 +232,20 @@ class PCMatrix:
         """Per-year publications, row sums and diagonal sums, computed once.
 
         Each sum adds its cells oldest publication year first, exactly as
-        summing the row or diagonal directly would.
+        summing the row or diagonal directly would. Finite cells can still
+        sum past the largest float, so the totals are checked here, once:
+        every result of this matrix is computed from these sums.
         """
-        return Sums(
-            pubs=self.pubs,
-            rows=tuple(map(sum, self.cites)),
-            diagonals=tuple(map(sum, zip_longest(*self.cites, fillvalue=0.0))),
-        )
+        rows = tuple(map(sum, self.cites))
+        diagonals = tuple(map(sum, zip_longest(*self.cites, fillvalue=0.0)))
+        # Every count is >= 0, so finite totals bound every row, every
+        # diagonal and every prefix sum of pubs.
+        totals = (sum(self.pubs), sum(rows), sum(diagonals))
+        if not all(map(math.isfinite, totals)):
+            raise DomainError(
+                f"{self.label or 'matrix'}: counts sum past the largest float"
+            )
+        return Sums(pubs=self.pubs, rows=rows, diagonals=diagonals)
 
 
 @dataclass(frozen=True)
@@ -249,6 +261,15 @@ class CkProfile:
         object.__setattr__(
             self, "values", tuple(_check_count(v, "profile value") for v in self.values)
         )
+
+    @classmethod
+    def _of(cls, values: tuple[float, ...], source_label: str) -> "CkProfile":
+        """A profile of values that are already finite, non-negative floats,
+        without checking them again. Only for ``Sums.profile``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        object.__setattr__(p, "source_label", source_label)
+        return p
 
     @property
     def n(self) -> int:

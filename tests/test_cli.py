@@ -348,14 +348,21 @@ class TestOracleCheck:
 
 
 def test_import_does_not_load_numpy():
-    # Only the synthetic corpus generator needs numpy; start-up must not.
+    # Neither start-up nor the synthetic corpus generator may load numpy.
     src = str(Path(citerhythm.__file__).resolve().parents[1])
-    probe = "import sys, citerhythm, citerhythm.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "False"
+    probes = [
+        "import sys, citerhythm, citerhythm.cli; print('numpy' in sys.modules)",
+        "import sys\n"
+        "from citerhythm import cli\n"
+        f"cli.main(['oracle-check', {manifest()!r}, '--trials', '3'])\n"
+        "print('numpy' in sys.modules)",
+    ]
+    for probe in probes:
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"

@@ -1,0 +1,42 @@
+"""The package runs on the standard library alone: every import is relative
+or of a standard-library module, and the project declares no dependencies.
+A third-party import would add its load time to every CLI process."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "citerhythm").rglob("*.py"))
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = [
+        f"line {line}: {name}"
+        for line, name in _imported_modules(tree)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"].get("dependencies", []) == []

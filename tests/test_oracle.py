@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 from collections import defaultdict
 
 import pytest
@@ -19,6 +21,7 @@ from citerhythm import (
     max_relative_difference,
     parse_events_csv,
 )
+from citerhythm.oracle import _poisson
 
 
 def spec_for(n, magnet_share=0.0, lo=1, hi=8):
@@ -139,6 +142,19 @@ class TestGenerate:
         spec = CorpusSpec(n=4, pubs_range=(1, 5), age_curve=(0.0,) * 4)
         m = aggregate(generate(3, spec))
         assert m.total_cites == 0.0
+
+    @pytest.mark.parametrize("lam,seed", [(0.3, 1), (4.0, 2), (50.0, 3), (2000.0, 4)])
+    def test_poisson_mean_and_variance(self, lam, seed):
+        # 2000 spans four chunks of the multiplication method.
+        rng = random.Random(seed)
+        size = 1000
+        draws = [_poisson(rng, lam) for _ in range(size)]
+        # Poisson: mean = variance = lam; the sample variance's variance is
+        # about (lam + 2 lam^2) / size.
+        assert abs(statistics.fmean(draws) - lam) <= 5 * math.sqrt(lam / size)
+        assert abs(statistics.variance(draws) - lam) <= 5 * math.sqrt(
+            (lam + 2 * lam**2) / size
+        )
 
     def test_generated_matrix_is_valid(self):
         spec = CorpusSpec(n=10, pubs_range=(5, 50), age_curve=default_age_curve(10))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citerhythm import (
+    CkProfile,
     DataConsistencyError,
     DomainError,
     PCMatrix,
@@ -195,6 +196,18 @@ class TestCkProfile:
         with pytest.raises(DataConsistencyError):
             ck_profile(m)
 
+    def test_overflowing_quotient_rejected(self):
+        # Finite sums, but a subnormal publication count under a large
+        # diagonal sum gives an infinite average.
+        m = PCMatrix(first_year=2000, pubs=(5e-324,), cites=((1e308,),))
+        with pytest.raises(DomainError, match="^profile value must be finite, got inf$"):
+            ck_profile(m)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_public_constructor_validates(self, value):
+        with pytest.raises(DomainError, match="^profile value must be"):
+            CkProfile(values=(1.0, value))
+
     def test_source_label_carried(self, china):
         assert ck_profile(china).source_label == china.label
 
@@ -217,6 +230,28 @@ class TestCkProfile:
             scaled = ck_profile(scale_pubs(m, factor)).values
             for b, s in zip(base, scaled):
                 assert s == pytest.approx(b / factor, rel=1e-9, abs=1e-12)
+
+
+class TestOverflowingSums:
+    """Finite cells whose sums overflow are rejected where the sums are
+    computed, whichever way the matrix was built."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            PCMatrix(2000, (1e308, 1e308), ((0.0, 0.0), (0.0,)), "pubs"),
+            PCMatrix(2000, (1.0, 1.0), ((1e308, 0.0), (1e308,)), "rows"),
+            PCMatrix(2000, (1.0, 1.0, 1.0), ((1e308, 1e308, 0.0), (0.0, 0.0), (0.0,)), "w")
+            .window(2000, 2),
+            subtract(
+                PCMatrix(2000, (1.0, 1.0), ((1e308, 1e308), (0.0,)), "s"),
+                PCMatrix.zero(2000, 2),
+            ),
+        ],
+    )
+    def test_rejected_with_label(self, m):
+        with pytest.raises(DomainError, match=f"^{m.label}: counts sum past the largest float"):
+            ck_profile(m)
 
 
 class TestAddSubtract:

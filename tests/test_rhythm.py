@@ -5,12 +5,14 @@ import pytest
 
 from citerhythm import (
     AlignmentError,
+    DomainError,
     PCMatrix,
     WindowError,
     ck_profile,
     cross_rhythm,
     expected_citations,
     internal_rhythm,
+    parse_matrix,
     sliding_windows,
     summary_i1,
     summary_i2,
@@ -71,6 +73,12 @@ class TestInternalRhythm:
         assert seq.points[0].ratio == 1.0
         assert seq.i1 == 1.0
         assert seq.i2 == 1.0
+
+    def test_overflowing_row_sum_rejected(self):
+        # Every cell is finite, but the first row sums past the largest float.
+        m = parse_matrix("year,pubs,2020,2021\n2020,1,1e308,1e308\n2021,1,,3\n", "big")
+        with pytest.raises(DomainError, match="^big: counts sum past the largest float"):
+            internal_rhythm(m)
 
     def test_kind_and_labels(self, china):
         seq = internal_rhythm(china)
