@@ -86,12 +86,7 @@ class Sums:
                 values.append(0.0)
             else:
                 values.append(numerator / denominator)
-        # Sums are finite, so only a quotient can overflow (a tiny
-        # denominator under a large diagonal sum); quotients are >= 0.
-        top = max(values, default=0.0)
-        if not math.isfinite(top):
-            raise DomainError(f"profile value must be finite, got {top!r}")
-        return CkProfile._of(tuple(values), label)
+        return CkProfile(values=tuple(values), source_label=label)
 
 
 def _check_count(value: float, what: str) -> float:
@@ -258,18 +253,13 @@ class CkProfile:
     source_label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", tuple(_check_count(v, "profile value") for v in self.values)
-        )
-
-    @classmethod
-    def _of(cls, values: tuple[float, ...], source_label: str) -> "CkProfile":
-        """A profile of values that are already finite, non-negative floats,
-        without checking them again. Only for ``Sums.profile``."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "values", values)
-        object.__setattr__(p, "source_label", source_label)
-        return p
+        values = tuple(map(float, self.values))
+        # A finite sum and a minimum >= 0 make every value finite and
+        # non-negative; otherwise walk the values for the first bad one.
+        if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0):
+            for value in values:
+                _check_count(value, "profile value")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

@@ -9,10 +9,11 @@ against that other matrix's citation level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import AlignmentError, WindowError
+from .errors import AlignmentError, DomainError, WindowError
 from .pcmatrix import CkProfile, PCMatrix, _check_aligned, ck_profile
 
 __all__ = [
@@ -102,7 +103,14 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
     # Year t's publications span n - t ages, so they are expected to earn
     # profile.cumulative(n - t) each: the running sums, read backwards.
     cumulative = reversed(tuple(accumulate(profile.values)))
-    return [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
+    expected = [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
+    # Every value is >= 0 (or NaN, from 0 * inf), so a finite total makes
+    # every value finite.
+    if not math.isfinite(sum(expected)):
+        raise DomainError(
+            f"{m.label or 'matrix'}: expected citations sum past the largest float"
+        )
+    return expected
 
 
 def expected_citations(pubs_source: PCMatrix, profile: CkProfile, year: int) -> float:
@@ -127,6 +135,13 @@ def _assemble(
     total_expected = sum(expected)
     i1 = sum(observed) / total_expected if total_expected > 0 else None
     i2 = None if undefined else sum(ratios) / len(ratios)
+    # A tiny expected value can still put a ratio, or the sum of the
+    # ratios, past the largest float. Ratios are >= 0; filter drops None.
+    summaries = (max(filter(None, ratios), default=0.0), i1 or 0.0, i2 or 0.0)
+    if not all(map(math.isfinite, summaries)):
+        raise DomainError(
+            f"{m.label or 'matrix'}: observed-to-expected ratios pass the largest float"
+        )
     return RhythmSequence(
         points=tuple(map(RhythmPoint, years, observed, expected, ratios)),
         kind=kind,

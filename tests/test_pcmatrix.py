@@ -208,6 +208,14 @@ class TestCkProfile:
         with pytest.raises(DomainError, match="^profile value must be"):
             CkProfile(values=(1.0, value))
 
+    def test_constructor_converts_and_reports_first_bad_value(self):
+        p = CkProfile(values=(1, -0.0, 1e308, 1e308))  # values may sum past inf
+        assert p.values == (1.0, 0.0, 1e308, 1e308)
+        assert all(type(v) is float for v in p.values)
+        assert math.copysign(1.0, p.values[1]) == -1.0
+        with pytest.raises(DomainError, match="^profile value must be non-negative, got -1.0$"):
+            CkProfile(values=(2.0, -1.0, math.inf))
+
     def test_source_label_carried(self, china):
         assert ck_profile(china).source_label == china.label
 

@@ -5,6 +5,7 @@ import pytest
 
 from citerhythm import (
     AlignmentError,
+    CkProfile,
     DomainError,
     PCMatrix,
     WindowError,
@@ -130,6 +131,41 @@ class TestCrossRhythm:
         shifted = PCMatrix(first_year=1990, pubs=brazil.pubs, cites=brazil.cites)
         with pytest.raises(AlignmentError):
             cross_rhythm(china, shifted)
+
+
+class TestOverflowingResults:
+    """Finite sums can still give expected values, ratios or summaries past
+    the largest float; every rhythm rejects them instead of returning inf."""
+
+    def test_expected_sum_rejected(self):
+        # Sums are finite, but the per-age averages are (1e308, 1e308), so
+        # their running sum, and the first year's expected value, is inf.
+        m = PCMatrix(2000, (0.5, 0.5), ((1e308, 5e307), (0.0,)), "big")
+        with pytest.raises(DomainError, match="^big: expected citations sum past"):
+            internal_rhythm(m)
+
+    def test_cross_expected_sum_rejected(self):
+        # Another matrix's averages times this matrix's publications.
+        m = PCMatrix(2000, (1e300, 1e300), ((0.0, 0.0), (0.0,)), "obs")
+        profile = CkProfile((1e10, 0.0), "p")
+        with pytest.raises(DomainError, match="^obs: expected citations sum past"):
+            cross_rhythm(m, profile)
+        with pytest.raises(DomainError, match="^obs: expected citations sum past"):
+            expected_citations(m, profile, 2000)
+
+    def test_ratio_rejected(self):
+        # A subnormal publication count gives a tiny expected value under
+        # a large observed one; the last year has no expected value, so I2
+        # is undefined and I1 is 1.0, and only the ratio itself overflows.
+        m = PCMatrix(2000, (1.0, 5e-324, 0.0), ((0.0,) * 3, (1e300, 0.0), (0.0,)), "tiny")
+        with pytest.raises(DomainError, match="^tiny: observed-to-expected ratios pass"):
+            internal_rhythm(m)
+
+    def test_ratio_sum_rejected(self):
+        # Both ratios are 1.6e308; only their sum, behind I2, overflows.
+        m = PCMatrix(2000, (1.0, 2.0), ((8e307, 0.0), (8e307,)), "obs")
+        with pytest.raises(DomainError, match="^obs: observed-to-expected ratios pass"):
+            cross_rhythm(m, CkProfile((0.25, 0.25), "p"))
 
 
 class TestSummaries:
