@@ -8,7 +8,6 @@ parsing the XML.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 __all__ = ["ChartSeries", "line_chart"]
 
@@ -19,6 +18,17 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 52
 _COLORS = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
+
+
+def _escape(text: str) -> str:
+    """XML-escape text for an element or a double-quoted attribute. ``&``
+    goes first so the entities added for the other characters stay intact."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ def line_chart(
     if title:
         out.append(
             f'<text class="title" x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
 
     axis_bottom = _MARGIN_TOP + plot_h
@@ -92,7 +102,7 @@ def line_chart(
         )
     out.append(
         f'<text transform="rotate(-90)" x="{-(_MARGIN_TOP + plot_h / 2):.1f}" y="16" '
-        f'text-anchor="middle">{escape(y_label)}</text>'
+        f'text-anchor="middle">{_escape(y_label)}</text>'
     )
 
     label_step = max(1, len(years) // 15)
@@ -123,7 +133,7 @@ def line_chart(
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         pts = " ".join(f"{x(yr):.1f},{y(v):.1f}" for yr, v in s.points)
         out.append(
-            f'<polyline class="series" data-label="{escape(s.label)}" points="{pts}" '
+            f'<polyline class="series" data-label="{_escape(s.label)}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="2"{dash}/>'
         )
 
@@ -135,7 +145,7 @@ def line_chart(
         out.append(
             f'<g class="legend"><line x1="{_MARGIN_LEFT + 10}" y1="{ly}" '
             f'x2="{_MARGIN_LEFT + 38}" y2="{ly}" stroke="{color}" stroke-width="2"{dash}/>'
-            f'<text x="{_MARGIN_LEFT + 44}" y="{ly + 4}">{escape(s.label)}</text></g>'
+            f'<text x="{_MARGIN_LEFT + 44}" y="{ly + 4}">{_escape(s.label)}</text></g>'
         )
 
     out.append("</svg>")

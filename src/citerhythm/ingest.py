@@ -15,7 +15,6 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .collective import Collective, validate_collective
@@ -297,7 +296,7 @@ def read_matrix(path: str | Path, label: str | None = None) -> PCMatrix:
 def fixture_path(name: str) -> Path:
     """Path of a bundled data file (matrix CSVs, scim.manifest, golden
     values for the SCIM corpus)."""
-    p = Path(str(resources.files(__package__) / "fixtures" / name))
+    p = Path(__file__).parent / "fixtures" / name
     if not p.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return p

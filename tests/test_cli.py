@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -225,6 +226,19 @@ class TestExternal:
         ref_y = float(reflines[0].get("y1"))
         assert min(ys) < ref_y < max(ys)
 
+    def test_svg_escapes_actor_label(self, capsys, tmp_path):
+        label = 'Smith "Lab" & <Co>'
+        copy = shutil.copytree(Path(manifest()).parent, tmp_path / "scim") / "scim.manifest"
+        copy.write_text(copy.read_text().replace("label = China", f"label = {label}"))
+        code, out, _ = run(capsys, "external", str(copy), "--actor", "china", "--format", "svg")
+        assert code == 0
+        (title,) = [el for el in svg_elements(out, "text") if el.get("class") == "title"]
+        assert title.text.startswith(f"External rhythm: {label} vs ")
+        series = [
+            el for el in svg_elements(out, "polyline") if el.get("class") == "series"
+        ]
+        assert [el.get("data-label") for el in series] == [label]
+
 
 class TestCompare:
     def test_text_output(self, capsys):
@@ -366,3 +380,22 @@ def test_import_does_not_load_numpy():
             check=True,
         ).stdout
         assert out.splitlines()[-1] == "False"
+
+
+def test_import_does_not_load_network_or_xml_stack():
+    # `-S` keeps `site` from preloading modules, so the probe sees only what
+    # the package itself imports. pathlib needs `urllib.parse`, which is
+    # small; `urllib.request` is what brings in http, email, ssl and socket.
+    src = str(Path(citerhythm.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import citerhythm.cli\n"
+        "print(*sys.modules)"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.split()
+    forbidden = ("xml", "urllib.request", "http", "email", "ssl", "socket",
+                 "importlib.resources")
+    assert [
+        m for m in loaded if any(m == f or m.startswith(f + ".") for f in forbidden)
+    ] == []
