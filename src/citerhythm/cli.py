@@ -2,8 +2,8 @@
 
 Subcommands: validate, internal, external, compare, windows, oracle-check.
 Internal analyses take a bare matrix CSV; external and pairwise analyses
-take a manifest so the complement is always built through the validated
-collective path. Output formats: text (default), csv, svg (charts).
+take a manifest, so the rest of the collective always comes from a
+validated collective. Output formats: text (default), csv, svg (charts).
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from . import __version__
 from .chart import ChartSeries, line_chart
-from .collective import actor_vs_actor, complement, validate_collective
+from .collective import _rest_profile, actor_vs_actor, actor_vs_collective, validate_collective
 from .errors import RhythmError
 from .ingest import build_collective, load_manifest, parse_manifest, read_matrix_file
 from .oracle import (
@@ -30,65 +29,103 @@ from .oracle import (
     default_age_curve,
     generate,
     max_relative_difference,
+    rest_corpus,
 )
 from .pcmatrix import ck_profile
 from .rhythm import RhythmSequence, cross_rhythm, internal_rhythm, sliding_windows
 
 ORACLE_TOLERANCE = 1e-9
 
-
-@dataclass(frozen=True)
-class ReportSpec:
-    """How to render a command's result: format, decimal places for numeric
-    cells, and destination (None = stdout)."""
-
-    fmt: str = "text"
-    decimals: int = 3
-    out: Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.decimals < 0:
-            raise ValueError("decimals must be >= 0")
+# Digits before the point of the largest finite float: quantizing any float
+# to ``decimals`` places needs at most this many digits plus ``decimals``.
+_FLOAT_INTEGER_DIGITS = 309
 
 
-def format_number(value: float | None, decimals: int) -> str:
+def format_number(value: float, decimals: int) -> str:
     """Fixed-point rendering, ties rounded half away from zero."""
-    if value is None:
-        return ""
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    context = Context(prec=_FLOAT_INTEGER_DIGITS + decimals, rounding=ROUND_HALF_UP)
+    return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=context))
 
 
-def _text_cell(value: float | None, decimals: int) -> str:
-    return format_number(value, decimals) if value is not None else "-"
-
-
-def _render_table(headers: list[str], rows: list[list[str]], footers: list[str]) -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    lines.extend(footers)
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(headers: list[str], rows: list[list[str]], footers: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    writer.writerows(footers)
-    return buf.getvalue()
-
-
-def _emit(text: str, spec: ReportSpec) -> None:
-    if spec.out is None:
-        sys.stdout.write(text)
+def _write(args: argparse.Namespace, text: str) -> int:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        spec.out.write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
+    return 0
+
+
+def _emit_table(
+    args: argparse.Namespace,
+    title: str,
+    headers: list[str],
+    rows: list[list[float | str | None]],
+    csv_footers: list[list[float | str | None]],
+    text_footers: list[list[float | str | None]],
+) -> int:
+    """Write a table as csv (headers, rows, then ``csv_footers`` as more
+    rows) or as text (``title``, right-aligned columns, then each of
+    ``text_footers`` with its cells joined as they are). Numbers print at
+    ``--decimals`` places; None, an undefined value, prints as an empty
+    csv cell and as ``-`` in text."""
+
+    def cell(value: float | str | None, missing: str) -> str:
+        if value is None:
+            return missing
+        return value if isinstance(value, str) else format_number(value, args.decimals)
+
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows([cell(v, "") for v in row] for row in rows + csv_footers)
+        return _write(args, buf.getvalue())
+    table = [headers] + [[cell(v, "-") for v in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = [title] + ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table]
+    lines += ["".join(cell(v, "-") for v in footer) for footer in text_footers]
+    return _write(args, "\n".join(lines) + "\n")
+
+
+def _emit_chart(
+    args: argparse.Namespace, title: str, sequences: list[tuple[str, RhythmSequence]]
+) -> int:
+    """Draw each labelled sequence's defined ratios as one line; the first
+    of two lines is dashed."""
+    series = [
+        ChartSeries(
+            label=label,
+            points=tuple((p.year, p.ratio) for p in seq.points if p.ratio is not None),
+            dashed=len(sequences) == 2 and i == 0,
+        )
+        for i, (label, seq) in enumerate(sequences)
+    ]
+    return _write(args, line_chart(sequences[0][1].years, series, title=title))
+
+
+def _emit_rhythm(
+    args: argparse.Namespace,
+    title: str,
+    seq: RhythmSequence,
+    ck: tuple[float, ...],
+    pubs: tuple[float, ...] | None = None,
+) -> int:
+    """One rhythm's per-year derivation (with the publications column when
+    ``pubs`` is given), I1 and I2, or its chart."""
+    if args.format == "svg":
+        return _emit_chart(args, title, [(seq.observed_label or "ratio", seq)])
+    headers = ["year", "observed", "ck", "expected", "ratio"]
+    rows = [[str(p.year), p.observed, c, p.expected, p.ratio] for p, c in zip(seq.points, ck)]
+    if pubs is not None:
+        headers.insert(1, "pubs")
+        for row, count in zip(rows, pubs):
+            row.insert(1, count)
+    text_footers = [["I1 = ", seq.i1], ["I2 = ", seq.i2]]
+    if seq.undefined_years:
+        years = ", ".join(str(y) for y in seq.undefined_years)
+        text_footers.append([f"undefined ratio (expected = 0) in: {years}"])
+    csv_footers = [["I1", seq.i1], ["I2", seq.i2]]
+    return _emit_table(args, title, headers, rows, csv_footers, text_footers)
 
 
 def _color_enabled() -> bool:
@@ -102,77 +139,6 @@ def _severity(word: str) -> str:
     if _color_enabled() and word in _SEVERITY_STYLE:
         return f"\x1b[{_SEVERITY_STYLE[word]}m{word}\x1b[0m"
     return word
-
-
-def _report_spec(args: argparse.Namespace) -> ReportSpec:
-    return ReportSpec(
-        fmt=getattr(args, "format", "text"),
-        decimals=getattr(args, "decimals", 3),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-    )
-
-
-def _sequence_rows(
-    seq: RhythmSequence,
-    decimals: int,
-    *,
-    pubs: tuple[float, ...] | None = None,
-    ck: tuple[float, ...] | None = None,
-    blank_missing: bool = False,
-) -> list[list[str]]:
-    missing = "" if blank_missing else "-"
-    rows = []
-    for idx, p in enumerate(seq.points):
-        row = [str(p.year)]
-        if pubs is not None:
-            row.append(format_number(pubs[idx], decimals))
-        row.append(format_number(p.observed, decimals))
-        if ck is not None:
-            row.append(format_number(ck[idx], decimals))
-        row.append(format_number(p.expected, decimals))
-        row.append(format_number(p.ratio, decimals) if p.ratio is not None else missing)
-        rows.append(row)
-    return rows
-
-
-def _sequence_report(
-    seq: RhythmSequence,
-    spec: ReportSpec,
-    title: str,
-    *,
-    pubs: tuple[float, ...] | None = None,
-    ck: tuple[float, ...] | None = None,
-) -> str:
-    headers = ["year"]
-    if pubs is not None:
-        headers.append("pubs")
-    headers.append("observed")
-    if ck is not None:
-        headers.append("ck")
-    headers += ["expected", "ratio"]
-
-    if spec.fmt == "csv":
-        rows = _sequence_rows(seq, spec.decimals, pubs=pubs, ck=ck, blank_missing=True)
-        footers = [
-            ["I1", format_number(seq.i1, spec.decimals)],
-            ["I2", format_number(seq.i2, spec.decimals)],
-        ]
-        return _render_csv(headers, rows, footers)
-
-    if spec.fmt == "svg":
-        points = tuple((p.year, p.ratio) for p in seq.points if p.ratio is not None)
-        series = [ChartSeries(label=seq.observed_label or "ratio", points=points)]
-        return line_chart(seq.years, series, title=title)
-
-    rows = _sequence_rows(seq, spec.decimals, pubs=pubs, ck=ck)
-    footers = [
-        f"I1 = {_text_cell(seq.i1, spec.decimals)}",
-        f"I2 = {_text_cell(seq.i2, spec.decimals)}",
-    ]
-    if seq.undefined_years:
-        years = ", ".join(str(y) for y in seq.undefined_years)
-        footers.append(f"undefined ratio (expected = 0) in: {years}")
-    return f"{title}\n" + _render_table(headers, rows, footers)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -193,104 +159,46 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_internal(args: argparse.Namespace) -> int:
-    spec = _report_spec(args)
     m = read_matrix_file(args.matrix).matrix
-    seq = internal_rhythm(m)
-    profile = ck_profile(m)
     title = f"Internal rhythm: {m.label} ({m.first_year}-{m.last_year})"
-    _emit(_sequence_report(seq, spec, title, ck=profile.values), spec)
-    return 0
+    return _emit_rhythm(args, title, internal_rhythm(m), ck_profile(m).values)
 
 
 def _cmd_external(args: argparse.Namespace) -> int:
-    spec = _report_spec(args)
     c = load_manifest(args.manifest)
     actor = c.actor(args.actor)
-    rest = complement(c, {args.actor})
-    seq = cross_rhythm(actor, rest)
-    profile = ck_profile(rest)
-    title = f"External rhythm: {actor.label} vs {rest.label}"
-    _emit(
-        _sequence_report(seq, spec, title, pubs=actor.pubs, ck=profile.values),
-        spec,
-    )
-    return 0
+    rest = _rest_profile(c, {args.actor})
+    title = f"External rhythm: {actor.label} vs {rest.source_label}"
+    return _emit_rhythm(args, title, cross_rhythm(actor, rest), rest.values, actor.pubs)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = _report_spec(args)
-    c = load_manifest(args.manifest)
-    result = actor_vs_actor(c, args.actor_a, args.actor_b)
-    seq_a = result.sequences[args.actor_a]
-    seq_b = result.sequences[args.actor_b]
-    title = f"Comparison: {args.actor_a} vs {args.actor_b} (baseline {result.baseline_label})"
-
-    if spec.fmt == "svg":
-        series = [
-            ChartSeries(
-                label=args.actor_a,
-                points=tuple((p.year, p.ratio) for p in seq_a.points if p.ratio is not None),
-                dashed=True,
-            ),
-            ChartSeries(
-                label=args.actor_b,
-                points=tuple((p.year, p.ratio) for p in seq_b.points if p.ratio is not None),
-            ),
-        ]
-        _emit(line_chart(seq_a.years, series, title=title), spec)
-        return 0
-
-    headers = ["year", args.actor_a, args.actor_b, "winner"]
-    blank = "" if spec.fmt == "csv" else "-"
-    rows = []
-    for pa, pb, winner in zip(seq_a.points, seq_b.points, result.per_year_winner):
-        rows.append(
-            [
-                str(pa.year),
-                format_number(pa.ratio, spec.decimals) if pa.ratio is not None else blank,
-                format_number(pb.ratio, spec.decimals) if pb.ratio is not None else blank,
-                winner if winner is not None else "tie",
-            ]
-        )
-    i1_cells = [format_number(seq_a.i1, spec.decimals), format_number(seq_b.i1, spec.decimals)]
-    i2_cells = [format_number(seq_a.i2, spec.decimals), format_number(seq_b.i2, spec.decimals)]
-    if spec.fmt == "csv":
-        footers = [["I1"] + i1_cells, ["I2"] + i2_cells]
-        _emit(_render_csv(headers, rows, footers), spec)
-        return 0
-    footers = [
-        f"{args.actor_a}: I1 = {i1_cells[0] or '-'}, I2 = {i2_cells[0] or '-'}",
-        f"{args.actor_b}: I1 = {i1_cells[1] or '-'}, I2 = {i2_cells[1] or '-'}",
+    a, b = args.actor_a, args.actor_b
+    result = actor_vs_actor(load_manifest(args.manifest), a, b)
+    seq_a, seq_b = result.sequences[a], result.sequences[b]
+    title = f"Comparison: {a} vs {b} (baseline {result.baseline_label})"
+    if args.format == "svg":
+        return _emit_chart(args, title, [(a, seq_a), (b, seq_b)])
+    rows = [
+        [str(pa.year), pa.ratio, pb.ratio, winner if winner is not None else "tie"]
+        for pa, pb, winner in zip(seq_a.points, seq_b.points, result.per_year_winner)
     ]
-    _emit(f"{title}\n" + _render_table(headers, rows, footers), spec)
-    return 0
+    csv_footers = [["I1", seq_a.i1, seq_b.i1], ["I2", seq_a.i2, seq_b.i2]]
+    text_footers = [
+        [f"{actor}: I1 = ", seq.i1, ", I2 = ", seq.i2] for actor, seq in ((a, seq_a), (b, seq_b))
+    ]
+    return _emit_table(args, title, ["year", a, b, "winner"], rows, csv_footers, text_footers)
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
-    spec = _report_spec(args)
     m = read_matrix_file(args.matrix).matrix
-    series = sliding_windows(m, args.width)
     headers = ["start", "end", "i1", "i2"] + [f"r{i + 1}" for i in range(args.width)]
-    blank = "" if spec.fmt == "csv" else "-"
-    rows = []
-    for start, seq in series.entries:
-        row = [
-            str(start),
-            str(start + args.width - 1),
-            format_number(seq.i1, spec.decimals) if seq.i1 is not None else blank,
-            format_number(seq.i2, spec.decimals) if seq.i2 is not None else blank,
-        ]
-        row.extend(
-            format_number(p.ratio, spec.decimals) if p.ratio is not None else blank
-            for p in seq.points
-        )
-        rows.append(row)
-    if spec.fmt == "csv":
-        _emit(_render_csv(headers, rows, []), spec)
-        return 0
+    rows = [
+        [str(start), str(start + args.width - 1), seq.i1, seq.i2, *seq.ratios]
+        for start, seq in sliding_windows(m, args.width).entries
+    ]
     title = f"Sliding windows (width {args.width}): {m.label}"
-    _emit(f"{title}\n" + _render_table(headers, rows, []), spec)
-    return 0
+    return _emit_table(args, title, headers, rows, [], [])
 
 
 def _looks_like_manifest(path: Path) -> bool:
@@ -321,11 +229,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                 internal_rhythm(m), brute_force_rhythm(corpus_from_matrix(m))
             )
             checks.append((f"{name} internal", diff))
-        for actor_id in c.constituents:
-            rest = complement(c, {actor_id})
+        for actor_id, m in c.constituents.items():
             diff = max_relative_difference(
-                cross_rhythm(c.actor(actor_id), rest),
-                brute_force_rhythm(corpus_from_matrix(c.actor(actor_id)), corpus_from_matrix(rest)),
+                actor_vs_collective(c, actor_id),
+                brute_force_rhythm(corpus_from_matrix(m), rest_corpus(c.total, [m])),
             )
             checks.append((f"{actor_id} vs rest", diff))
     else:
@@ -429,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "decimals", 0) < 0:
+            raise ValueError("decimals must be >= 0")
         return args.func(args)
     except (RhythmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

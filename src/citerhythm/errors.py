@@ -56,3 +56,7 @@ class ManifestError(RhythmError, ValueError):
 
 class UnknownActorError(RhythmError, KeyError):
     """Actor id not present in the collective."""
+
+    def __str__(self) -> str:
+        # KeyError would print the message as a quoted repr.
+        return Exception.__str__(self)

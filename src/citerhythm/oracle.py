@@ -24,6 +24,7 @@ __all__ = [
     "default_age_curve",
     "aggregate",
     "corpus_from_matrix",
+    "rest_corpus",
     "brute_force_rhythm",
     "generate",
     "parse_events_csv",
@@ -110,6 +111,37 @@ def corpus_from_matrix(m: PCMatrix) -> EventCorpus:
         pub_weights=m.pubs,
         events=tuple(events),
         label=m.label,
+    )
+
+
+def rest_corpus(total: PCMatrix, removed: list[PCMatrix]) -> EventCorpus:
+    """The total minus the removed matrices, as one weighted event per
+    non-zero cell. The differences are taken cell by cell with plain loops,
+    so the rest of a collective shares no arithmetic with the matrix path's
+    sums. A removed matrix that does not fit inside the total leaves a
+    negative weight, which the corpus rejects with ``DomainError``."""
+    for m in removed:
+        if m.first_year != total.first_year or m.n != total.n:
+            raise AlignmentError(
+                f"{m.label or 'matrix'} covers {m.first_year}+{m.n}, "
+                f"total covers {total.first_year}+{total.n}"
+            )
+    pub_weights = []
+    events = []
+    for t in range(total.n):
+        weight = total.pubs[t]
+        for m in removed:
+            weight -= m.pubs[t]
+        pub_weights.append(weight)
+        year = total.first_year + t
+        for o in range(total.n - t):
+            weight = total.cites[t][o]
+            for m in removed:
+                weight -= m.cites[t][o]
+            if weight != 0:
+                events.append(CitationEvent(year, year + o, weight=weight))
+    return EventCorpus(
+        first_year=total.first_year, pub_weights=tuple(pub_weights), events=tuple(events)
     )
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "Sums",
     "CkProfile",
     "observed_citations",
-    "observed_all",
     "ck_profile",
     "add",
     "subtract",
@@ -265,20 +264,11 @@ class CkProfile:
     def n(self) -> int:
         return len(self.values)
 
-    def cumulative(self, count: int) -> float:
-        """Sum of the first ``count`` per-age averages."""
-        return sum(self.values[:count])
-
 
 def observed_citations(m: PCMatrix, year: int) -> float:
     """Total citations received within the window by ``year``'s publications
     (the row sum of that publication year)."""
-    return sum(m.cites[m._offset(year)])
-
-
-def observed_all(m: PCMatrix) -> tuple[float, ...]:
-    """Row sums for every publication year, oldest first."""
-    return m.sums.rows
+    return m.sums.rows[m._offset(year)]
 
 
 def ck_profile(m: PCMatrix) -> CkProfile:

@@ -25,8 +25,6 @@ __all__ = [
     "expected_citations",
     "internal_rhythm",
     "cross_rhythm",
-    "summary_i1",
-    "summary_i2",
     "summary_i2_lenient",
     "sliding_windows",
 ]
@@ -100,8 +98,9 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
         raise AlignmentError(
             f"profile covers {profile.n} ages but matrix covers {m.n} years"
         )
-    # Year t's publications span n - t ages, so they are expected to earn
-    # profile.cumulative(n - t) each: the running sums, read backwards.
+    # Year t's publications span n - t ages, so each is expected to earn
+    # the sum of the first n - t profile values: the running sums, read
+    # backwards.
     cumulative = reversed(tuple(accumulate(profile.values)))
     expected = [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
     # Every value is >= 0 (or NaN, from 0 * inf), so a finite total makes
@@ -176,17 +175,6 @@ def cross_rhythm(
         CROSS,
         expectation_source.label,
     )
-
-
-def summary_i1(seq: RhythmSequence) -> float | None:
-    """Ratio-of-sums summary; None when total expected is 0."""
-    return seq.i1
-
-
-def summary_i2(seq: RhythmSequence) -> float | None:
-    """Average-of-ratios summary over all n years; None when any ratio is
-    undefined (strict mode)."""
-    return seq.i2
 
 
 def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:

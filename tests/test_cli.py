@@ -40,6 +40,7 @@ class TestFormatNumber:
             (2149.0, 3, "2149.000"),
             (2.5, 0, "3"),
             (1.152, 3, "1.152"),
+            (1e30, 3, "1000000000000000000000000000000.000"),  # past 28 digits
         ],
     )
     def test_half_away_from_zero(self, value, decimals, expected):
@@ -133,6 +134,23 @@ class TestInternal:
         assert code == 0
         assert "2415.9" in out
 
+    def test_decimals_past_default_decimal_precision(self, capsys):
+        code, out, err = run(
+            capsys, "internal", str(fixture_path("china.csv")), "--decimals", "25"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split()[:2] == ["2015", "2149." + "0" * 25]
+
+    def test_values_past_default_decimal_precision(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("year,pubs,2020,2021\n2020,1,1e30,5\n2021,2,,3\n")
+        code, out, err = run(capsys, "internal", str(p), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == (
+            "2020,1000000000000000000000000000000.000,333333333333333300000000000000.000,"
+            "333333333333333300000000000000.000,3.000"
+        )
+
     def test_svg_structure(self, capsys):
         code, out, _ = run(
             capsys, "internal", str(fixture_path("china.csv")), "--format", "svg"
@@ -204,7 +222,7 @@ class TestExternal:
     def test_unknown_actor_lists_known_ids(self, capsys):
         code, _, err = run(capsys, "external", manifest(), "--actor", "mars")
         assert code == 1
-        assert "china" in err and "brazil" in err
+        assert err == "error: unknown actor 'mars'; known actors: china, brazil, netherlands\n"
 
     def test_svg_contract(self, capsys):
         code, out, _ = run(

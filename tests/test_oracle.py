@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import statistics
@@ -6,11 +7,15 @@ from collections import defaultdict
 import pytest
 
 from citerhythm import (
+    AlignmentError,
     CitationEvent,
+    Collective,
     CorpusSpec,
     DomainError,
     EventCorpus,
     PCMatrix,
+    actor_vs_actor,
+    actor_vs_collective,
     aggregate,
     brute_force_rhythm,
     corpus_from_matrix,
@@ -21,7 +26,7 @@ from citerhythm import (
     max_relative_difference,
     parse_events_csv,
 )
-from citerhythm.oracle import _poisson
+from citerhythm.oracle import _poisson, rest_corpus
 
 
 def spec_for(n, magnet_share=0.0, lo=1, hi=8):
@@ -127,6 +132,58 @@ class TestBruteForce:
         a = EventCorpus(2001, (1.0,), ())
         with pytest.raises(AlignmentError):
             brute_force_rhythm(b, a)
+
+
+def seeded_collective(seed: int, k: int = 5, n: int = 8) -> Collective:
+    """``k`` generated actors plus one unnamed generated remainder; the
+    total is tallied from all of their events."""
+    corpora = [
+        generate(seed * 1000 + i, spec_for(n, magnet_share=0.1, lo=0 if i % 2 else 1))
+        for i in range(k + 1)
+    ]
+    pubs = tuple(sum(weights) for weights in zip(*(c.pub_weights for c in corpora)))
+    events = tuple(ev for c in corpora for ev in c.events)
+    total = aggregate(EventCorpus(2000, pubs, events, label="total"))
+    actors = {f"a{i}": aggregate(c) for i, c in enumerate(corpora[:k])}
+    return Collective.build("synthetic", actors, total=total)
+
+
+class TestComparisonsMatchBruteForce:
+    """The comparisons of the matrix path against the event-level oracle,
+    with the rest of the collective subtracted by the oracle itself."""
+
+    def assert_match(self, c: Collective) -> None:
+        for u in c.actor_ids:
+            brute = brute_force_rhythm(
+                corpus_from_matrix(c.actor(u)), rest_corpus(c.total, [c.actor(u)])
+            )
+            assert max_relative_difference(actor_vs_collective(c, u), brute) <= 1e-9
+        for u, v in itertools.combinations(c.actor_ids, 2):
+            result = actor_vs_actor(c, u, v)
+            rest = rest_corpus(c.total, [c.actor(u), c.actor(v)])
+            for actor in (u, v):
+                brute = brute_force_rhythm(corpus_from_matrix(c.actor(actor)), rest)
+                assert max_relative_difference(result.sequences[actor], brute) <= 1e-9
+
+    def test_every_scim_pair(self, scim):
+        self.assert_match(scim)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_pair_of_a_generated_collective(self, seed):
+        self.assert_match(seeded_collective(seed))
+
+    def test_rest_corpus_subtracts_cell_by_cell(self):
+        total = PCMatrix(2000, (3.0, 2.0), ((4.0, 1.0), (5.0,)))
+        part = PCMatrix(2000, (1.0, 2.0), ((4.0, 0.5), (1.0,)))
+        rest = rest_corpus(total, [part])
+        assert rest.pub_weights == (2.0, 0.0)
+        assert rest.events == (CitationEvent(2000, 2001, 0.5), CitationEvent(2001, 2001, 4.0))
+
+    def test_rest_corpus_rejects_a_part_outside_the_total(self, china, scim_total):
+        with pytest.raises(DomainError):
+            rest_corpus(china, [scim_total])
+        with pytest.raises(AlignmentError):
+            rest_corpus(china, [PCMatrix.zero(2015, 9)])
 
 
 class TestGenerate:

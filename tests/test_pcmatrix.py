@@ -14,7 +14,6 @@ from citerhythm import (
     YearOutOfRangeError,
     add,
     ck_profile,
-    observed_all,
     observed_citations,
     subtract,
 )
@@ -140,12 +139,12 @@ class TestObserved:
         assert observed_citations(china, 2015) == 2149
 
     def test_observed_all_matches_published_columns(self, china, brazil, golden):
-        assert list(observed_all(china)) == golden["actors"]["china"]["observed"]
-        assert list(observed_all(brazil)) == golden["actors"]["brazil"]["observed"]
+        assert list(china.sums.rows) == golden["actors"]["china"]["observed"]
+        assert list(brazil.sums.rows) == golden["actors"]["brazil"]["observed"]
 
     def test_zero_matrix(self):
         z = PCMatrix.zero(2000, 4)
-        assert observed_all(z) == (0.0, 0.0, 0.0, 0.0)
+        assert z.sums.rows == (0.0, 0.0, 0.0, 0.0)
         assert observed_citations(z, 2002) == 0.0
 
     def test_hand_sum_first_row(self):
@@ -160,7 +159,7 @@ class TestObserved:
     @given(matrices())
     def test_total_mass_conserved(self, m):
         total = sum(sum(row) for row in m.cites)
-        assert sum(observed_all(m)) == pytest.approx(total, rel=1e-9, abs=1e-12)
+        assert sum(m.sums.rows) == pytest.approx(total, rel=1e-9, abs=1e-12)
 
 
 class TestCkProfile:
@@ -342,7 +341,7 @@ class TestWindow:
         m = toy3()
         assert m.total_pubs == 7.0
         assert m.total_cites == 13.0
-        assert math.isclose(sum(observed_all(m)), m.total_cites)
+        assert math.isclose(sum(m.sums.rows), m.total_cites)
 
 
 class TestDerivedMatricesEqualValidatedOnes:

@@ -15,8 +15,6 @@ from citerhythm import (
     internal_rhythm,
     parse_matrix,
     sliding_windows,
-    summary_i1,
-    summary_i2,
     summary_i2_lenient,
 )
 from helpers import random_matrix, rel_err, scale_cites, scale_pubs
@@ -171,28 +169,28 @@ class TestOverflowingResults:
 class TestSummaries:
     def test_internal_i1_is_one(self, china, brazil, netherlands):
         for m in (china, brazil, netherlands):
-            assert summary_i1(internal_rhythm(m)) == pytest.approx(1.0, rel=1e-9)
+            assert internal_rhythm(m).i1 == pytest.approx(1.0, rel=1e-9)
 
     def test_brazil_external_i1(self, brazil, scim_minus_brazil_netherlands):
         seq = cross_rhythm(brazil, scim_minus_brazil_netherlands)
-        assert summary_i1(seq) == pytest.approx(0.856, abs=0.002)
+        assert seq.i1 == pytest.approx(0.856, abs=0.002)
 
     def test_i1_absent_without_expectations(self):
         m = PCMatrix(first_year=2000, pubs=(3.0, 2.0), cites=((0.0, 0.0), (0.0,)))
         seq = internal_rhythm(m)
-        assert summary_i1(seq) is None
+        assert seq.i1 is None
         assert seq.undefined_years == (2000, 2001)
 
     def test_brazil_internal_i2(self, brazil):
-        assert summary_i2(internal_rhythm(brazil)) == pytest.approx(1.092, abs=0.002)
+        assert internal_rhythm(brazil).i2 == pytest.approx(1.092, abs=0.002)
 
     def test_scim_minus_pair_internal_i2(self, scim_minus_brazil_netherlands):
         seq = internal_rhythm(scim_minus_brazil_netherlands)
-        assert summary_i2(seq) == pytest.approx(1.058, abs=0.002)
+        assert seq.i2 == pytest.approx(1.058, abs=0.002)
 
     def test_all_ones_average_exactly_one(self):
         m = PCMatrix(first_year=2020, pubs=(4.0,), cites=((6.0,),))
-        assert summary_i2(internal_rhythm(m)) == 1.0
+        assert internal_rhythm(m).i2 == 1.0
 
     def test_strict_i2_absent_with_undefined_year(self):
         m = PCMatrix(
@@ -201,7 +199,7 @@ class TestSummaries:
             cites=((2.0, 1.0, 1.0), (0.0, 0.0), (4.0,)),
         )
         seq = internal_rhythm(m)
-        assert summary_i2(seq) is None
+        assert seq.i2 is None
         assert seq.undefined_years == (2001,)
         mean, count = summary_i2_lenient(seq)
         assert count == 2
