@@ -50,14 +50,12 @@ from .oracle import (
     default_age_curve,
     generate,
     max_relative_difference,
-    parse_events_csv,
 )
 from .pcmatrix import (
     CkProfile,
     PCMatrix,
     add,
     ck_profile,
-    observed_citations,
     subtract,
 )
 from .rhythm import (
@@ -67,7 +65,6 @@ from .rhythm import (
     RhythmSequence,
     WindowSeries,
     cross_rhythm,
-    expected_citations,
     internal_rhythm,
     sliding_windows,
     summary_i2_lenient,
@@ -78,7 +75,6 @@ __all__ = [
     # matrices
     "PCMatrix",
     "CkProfile",
-    "observed_citations",
     "ck_profile",
     "add",
     "subtract",
@@ -88,7 +84,6 @@ __all__ = [
     "WindowSeries",
     "INTERNAL",
     "CROSS",
-    "expected_citations",
     "internal_rhythm",
     "cross_rhythm",
     "summary_i2_lenient",
@@ -123,7 +118,6 @@ __all__ = [
     "corpus_from_matrix",
     "brute_force_rhythm",
     "generate",
-    "parse_events_csv",
     "max_relative_difference",
     # errors
     "RhythmError",

@@ -44,7 +44,8 @@ _FLOAT_INTEGER_DIGITS = 309
 def format_number(value: float, decimals: int) -> str:
     """Fixed-point rendering, ties rounded half away from zero."""
     context = Context(prec=_FLOAT_INTEGER_DIGITS + decimals, rounding=ROUND_HALF_UP)
-    return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=context))
+    d = Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=context)
+    return format(d, "f")
 
 
 def _write(args: argparse.Namespace, text: str) -> int:
@@ -201,25 +202,11 @@ def _cmd_windows(args: argparse.Namespace) -> int:
     return _emit_table(args, title, headers, rows, [], [])
 
 
-def _looks_like_manifest(path: Path) -> bool:
-    """Whether the first line that is not blank or a comment is
-    ``[collective]``; reads no further than that line."""
-    try:
-        with path.open(encoding="utf-8-sig", errors="replace") as lines:
-            for line in lines:
-                line = line.strip()
-                if line and not line.startswith(("#", ";")):
-                    return line == "[collective]"
-    except OSError:
-        return False
-    return False
-
-
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     path = Path(args.data)
     checks: list[tuple[str, float]] = []
 
-    if _looks_like_manifest(path):
+    if path.suffix == ".manifest":
         c = load_manifest(path)
         matrices = [("total", c.total)] + [
             (actor_id, m) for actor_id, m in c.constituents.items()
@@ -324,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="compare the fast path against the event-level brute-force path",
     )
-    p.add_argument("data", help="matrix CSV or manifest")
+    p.add_argument("data", help="manifest if the name ends in .manifest, else matrix CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--verbose", action="store_true", help="print every comparison")
@@ -338,7 +325,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "decimals", 0) < 0:
             raise ValueError("decimals must be >= 0")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush
+        # at interpreter exit cannot fail again and print to stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RhythmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

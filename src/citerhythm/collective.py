@@ -13,8 +13,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import AlignmentError, UnknownActorError
-from .pcmatrix import CkProfile, PCMatrix, _first_excess, add, ck_profile, subtract
+from .errors import AlignmentError, DomainError, UnknownActorError
+from .pcmatrix import CkProfile, PCMatrix, _first_excess, _sum_of, ck_profile, subtract
 from .rhythm import RhythmSequence, cross_rhythm
 
 __all__ = [
@@ -94,11 +94,7 @@ class Collective:
         if not constituents:
             raise ValueError("a collective needs at least one constituent")
         if total is None:
-            matrices = list(constituents.values())
-            acc = matrices[0]
-            for m in matrices[1:]:
-                acc = add(acc, m)
-            total = acc.relabeled(label)
+            total = _sum_of(constituents.values()).relabeled(label)
         return cls(label=label, total=total, constituents=dict(constituents))
 
     @property
@@ -166,11 +162,7 @@ def complement(c: Collective, actor_ids: Iterable[str]) -> PCMatrix:
     ids = sorted(set(actor_ids))
     if not ids:
         raise ValueError("actor_ids must name at least one actor")
-    removed = None
-    for actor_id in ids:
-        m = c.actor(actor_id)
-        removed = m if removed is None else add(removed, m)
-    rest = subtract(c.total, removed)
+    rest = subtract(c.total, _sum_of(c.actor(actor_id) for actor_id in ids))
     return rest.relabeled(_rest_label(c, ids))
 
 
@@ -195,15 +187,11 @@ def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
     return cross_rhythm(c.actor(actor_id), _rest_profile(c, {actor_id}))
 
 
-def actor_vs_actor(
-    c: Collective,
-    u: str,
-    v: str,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> ComparisonResult:
+def actor_vs_actor(c: Collective, u: str, v: str) -> ComparisonResult:
     """External rhythms of two actors against the shared complement with
     both actors removed, so neither is compared partly to itself and both
-    are judged against the same baseline."""
+    are judged against the same baseline. Ratios within
+    ``DEFAULT_TIE_TOLERANCE`` of each other tie."""
     if u == v:
         raise ValueError(f"cannot compare actor {u!r} with itself")
     baseline = _rest_profile(c, {u, v})
@@ -213,7 +201,7 @@ def actor_vs_actor(
     for pu, pv in zip(seq_u.points, seq_v.points):
         if pu.ratio is None or pv.ratio is None:
             winners.append(None)
-        elif abs(pu.ratio - pv.ratio) <= tie_tolerance:
+        elif abs(pu.ratio - pv.ratio) <= DEFAULT_TIE_TOLERANCE:
             winners.append(None)
         else:
             winners.append(u if pu.ratio > pv.ratio else v)
@@ -222,6 +210,22 @@ def actor_vs_actor(
         sequences={u: seq_u, v: seq_v},
         per_year_winner=tuple(winners),
     )
+
+
+def _partition_residual(c: Collective) -> str | None:
+    """The first cell where the constituents' sum and the total differ
+    beyond the tolerance of ``_first_excess``; None when they agree."""
+    try:
+        parts = _sum_of(c.constituents.values())
+    except DomainError:  # finite counts can add up past the largest float
+        return "constituents sum past the largest float"
+    excess = _first_excess(c.total, parts)
+    if excess is not None:
+        return f"constituents sum past the total at {excess}"
+    excess = _first_excess(parts, c.total)
+    if excess is not None:
+        return f"total exceeds the constituents' sum at {excess}"
+    return None
 
 
 def validate_collective(
@@ -261,27 +265,9 @@ def validate_collective(
                 )
             )
 
-    if assert_partition:
-        mismatch = None
-        for t in range(c.total.n):
-            part_sum = sum(m.pubs[t] for m in c.constituents.values())
-            if part_sum != c.total.pubs[t]:
-                mismatch = f"publications of {c.total.first_year + t}: " \
-                           f"constituents sum to {part_sum}, total has {c.total.pubs[t]}"
-                break
-            for o in range(c.total.n - t):
-                cell_sum = sum(m.cites[t][o] for m in c.constituents.values())
-                if cell_sum != c.total.cites[t][o]:
-                    i = c.total.first_year + t
-                    mismatch = f"citations ({i}, {i + o}): constituents sum to " \
-                               f"{cell_sum}, total has {c.total.cites[t][o]}"
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            findings.append(
-                Finding("error", "partition", f"partition residual: {mismatch}")
-            )
+    residual = _partition_residual(c) if assert_partition else None
+    if residual is not None:
+        findings.append(Finding("error", "partition", f"partition residual: {residual}"))
 
     for actor_id, m in c.constituents.items():
         actor_pubs = m.total_pubs

@@ -7,8 +7,6 @@ path, so agreement between the two is evidence rather than tautology.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,7 +25,6 @@ __all__ = [
     "rest_corpus",
     "brute_force_rhythm",
     "generate",
-    "parse_events_csv",
     "max_relative_difference",
 ]
 
@@ -343,21 +340,3 @@ def max_relative_difference(a: RhythmSequence, b: RhythmSequence) -> float:
     for pa, pb in zip(a.points, b.points):
         worst = max(worst, _rel_diff(pa.ratio, pb.ratio))
     return worst
-
-
-def parse_events_csv(text: str, first_year: int, pub_weights: tuple[float, ...]) -> EventCorpus:
-    """Read an event list (``published_year,citing_year[,weight]``) into a
-    corpus over the given window."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or header[:2] != ["published_year", "citing_year"]:
-        raise DomainError('event CSV header must be "published_year,citing_year[,weight]"')
-    events = []
-    for row in reader:
-        if not row:
-            continue
-        weight = float(row[2]) if len(row) > 2 and row[2] != "" else 1.0
-        events.append(CitationEvent(int(row[0]), int(row[1]), weight=weight))
-    return EventCorpus(
-        first_year=first_year, pub_weights=pub_weights, events=tuple(events)
-    )

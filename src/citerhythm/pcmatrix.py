@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, zip_longest
 
 from .errors import (
@@ -28,7 +29,6 @@ __all__ = [
     "PCMatrix",
     "Sums",
     "CkProfile",
-    "observed_citations",
     "ck_profile",
     "add",
     "subtract",
@@ -265,12 +265,6 @@ class CkProfile:
         return len(self.values)
 
 
-def observed_citations(m: PCMatrix, year: int) -> float:
-    """Total citations received within the window by ``year``'s publications
-    (the row sum of that publication year)."""
-    return m.sums.rows[m._offset(year)]
-
-
 def ck_profile(m: PCMatrix) -> CkProfile:
     """Per-age citation averages of a matrix.
 
@@ -304,19 +298,41 @@ def add(a: PCMatrix, b: PCMatrix) -> PCMatrix:
     )
 
 
+def _sum_of(matrices: Iterable[PCMatrix]) -> PCMatrix:
+    """Cellwise sum of one or more aligned matrices, added in the given order."""
+    return reduce(add, matrices)
+
+
+# One count exceeds another only by more than this share of the larger.
+# Adding thousands of fractional shares rounds by far less, and any whole
+# count below 2**40 exceeds 2**-40 of it, so integer data compare exactly.
+_REL_TOL = 2.0**-40
+
+
+def _same(x: float, y: float) -> bool:
+    """Whether two counts are equal within the relative tolerance."""
+    return abs(x - y) <= _REL_TOL * max(x, y)
+
+
 def _first_excess(a: PCMatrix, b: PCMatrix) -> str | None:
-    """The first cell where ``b`` exceeds ``a``, publications first, as
-    ``publications of year <year>: y > x`` or ``citations (i, j): y > x``;
-    None when ``b`` is contained in ``a``. Builds no matrix."""
+    """The first cell where ``b`` exceeds ``a`` beyond the tolerance,
+    publications first, as ``publications of year <year>: y > x`` or
+    ``citations (i, j): y > x``; None when ``b`` is contained in ``a``.
+    Builds no matrix."""
     for t, (x, y) in enumerate(zip(a.pubs, b.pubs)):
-        if y > x:
+        if y > x and not _same(x, y):
             return f"publications of year {a.first_year + t}: {y} > {x}"
     for t, (ra, rb) in enumerate(zip(a.cites, b.cites)):
         for o, (x, y) in enumerate(zip(ra, rb)):
-            if y > x:
+            if y > x and not _same(x, y):
                 i = a.first_year + t
                 return f"citations ({i}, {i + o}): {y} > {x}"
     return None
+
+
+def _difference(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    # A cell whose excess ``_first_excess`` forgave becomes 0.0.
+    return tuple(x - y if y <= x else 0.0 for x, y in zip(a, b))
 
 
 def subtract(a: PCMatrix, b: PCMatrix) -> PCMatrix:
@@ -328,10 +344,10 @@ def subtract(a: PCMatrix, b: PCMatrix) -> PCMatrix:
             f"{excess}; {b.label or 'subtrahend'} is not contained in "
             f"{a.label or 'minuend'}"
         )
-    # Every cell is x - y with finite 0 <= y <= x, so finite and >= 0.
+    # Every cell is x - y with finite 0 <= y <= x, or 0.0, so finite and >= 0.
     return PCMatrix._of(
         a.first_year,
-        _pairwise(operator.sub, a.pubs, b.pubs),
-        tuple(_pairwise(operator.sub, ra, rb) for ra, rb in zip(a.cites, b.cites)),
+        _difference(a.pubs, b.pubs),
+        tuple(_difference(ra, rb) for ra, rb in zip(a.cites, b.cites)),
         f"{a.label}-{b.label}" if a.label and b.label else a.label,
     )

@@ -22,7 +22,6 @@ __all__ = [
     "WindowSeries",
     "INTERNAL",
     "CROSS",
-    "expected_citations",
     "internal_rhythm",
     "cross_rhythm",
     "summary_i2_lenient",
@@ -110,13 +109,6 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
             f"{m.label or 'matrix'}: expected citations sum past the largest float"
         )
     return expected
-
-
-def expected_citations(pubs_source: PCMatrix, profile: CkProfile, year: int) -> float:
-    """Citations ``year``'s publications would earn at the profile's average
-    rate: the publication count times the per-age averages summed over the
-    ages that still fit in the window."""
-    return _expected(pubs_source, profile)[pubs_source._offset(year)]
 
 
 def _assemble(

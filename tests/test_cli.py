@@ -41,6 +41,8 @@ class TestFormatNumber:
             (2.5, 0, "3"),
             (1.152, 3, "1.152"),
             (1e30, 3, "1000000000000000000000000000000.000"),  # past 28 digits
+            (0.0, 7, "0.0000000"),  # fixed point below 1e-6 too
+            (1e-10, 12, "0.000000000100"),
         ],
     )
     def test_half_away_from_zero(self, value, decimals, expected):
@@ -107,6 +109,16 @@ class TestInternal:
         assert code == 0
         assert "I2 = -" in out  # no defined ratios, reported as absent
         assert "undefined ratio" in out
+
+    def test_zeros_print_in_fixed_point_at_seven_decimals(self, capsys, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("year,pubs,2020,2021\n2020,1,0,5\n2021,2,,0\n")
+        code, out, _ = run(capsys, "internal", str(p), "--decimals", "7")
+        assert code == 0
+        assert out.splitlines()[2:4] == [
+            "2020  5.0000000  0.0000000  5.0000000  1.0000000",
+            "2021  0.0000000  5.0000000  0.0000000          -",
+        ]
 
     def test_csv_cells_reparse_to_computed_values(self, capsys):
         from citerhythm import ck_profile, internal_rhythm, read_matrix
@@ -377,6 +389,34 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", str(p), "--trials", "3")
         assert code == 0
         assert "all within" in out
+
+    def test_only_the_manifest_suffix_selects_a_manifest(self, capsys, tmp_path):
+        p = tmp_path / "scim.txt"
+        p.write_bytes(fixture_path("scim.manifest").read_bytes())
+        code, _, err = run(capsys, "oracle-check", str(p), "--trials", "1")
+        assert code == 1
+        assert err == 'error: line 1: header must be "year,pubs,<first citing year>,..."\n'
+
+
+def test_closed_stdout_ends_quietly():
+    # The verbose listing is far larger than a pipe's buffer, so the
+    # process is still writing when the reader goes away.
+    src = str(Path(citerhythm.__file__).resolve().parents[1])
+    argv = ["oracle-check", manifest(), "--trials", "3000", "--verbose"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "citerhythm.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"  total internal:")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_import_does_not_load_numpy():

@@ -250,6 +250,14 @@ class TestValidate:
         )
         assert validate_collective(full, assert_partition=True).ok
 
+    def test_partition_sum_past_the_largest_float(self):
+        # Each constituent fits inside the total, but their sum is infinite.
+        part = small(pubs=(1e308, 1.0), cites=((0.0, 0.0), (0.0,)))
+        total = small("T", pubs=(1.5e308, 2.0))
+        c = Collective(label="C", total=total, constituents={"a": part, "b": part})
+        [finding] = validate_collective(c, assert_partition=True).errors
+        assert finding.message == "partition residual: constituents sum past the largest float"
+
     def test_thresholds_configurable(self, scim):
         strict = validate_collective(scim, dominance_share=0.2, min_complement_pubs=5000)
         assert {f.code for f in strict.warnings} == {"dominance", "smallness"}
@@ -279,6 +287,58 @@ class TestContainment:
         assert str(err.value) == (
             "publications of year 2000: 12.0 > 10.0; A+B is not contained in T"
         )
+
+
+def uniform(label, value):
+    return small(label, pubs=(value, value), cites=((value, value), (value,)))
+
+
+class TestFractionalCounts:
+    """Shares of 0.1 and 0.2 under a total of 0.3: their cellwise sum,
+    0.30000000000000004, exceeds the total only by rounding."""
+
+    def collective(self, total=0.3, a=0.1, b=0.2):
+        return Collective(
+            label="C",
+            total=uniform("T", total),
+            constituents={"a": uniform("A", a), "b": uniform("B", b)},
+        )
+
+    def test_partition_validates(self):
+        assert validate_collective(self.collective(), assert_partition=True).ok
+
+    def test_pair_leaves_an_empty_baseline(self):
+        result = actor_vs_actor(self.collective(), "a", "b")
+        assert result.baseline_label == "C \\ {a, b}"
+        assert result.per_year_winner == (None, None)
+        assert all(seq.undefined_years == (2000, 2001) for seq in result.sequences.values())
+
+    def test_actor_vs_collective(self):
+        assert actor_vs_collective(self.collective(), "a").ratios == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "total,a,b,residual",
+        [
+            (0.29, 0.1, 0.2, "constituents sum past the total at publications of "
+             "year 2000: 0.30000000000000004 > 0.29"),
+            (0.31, 0.1, 0.2, "total exceeds the constituents' sum at publications "
+             "of year 2000: 0.31 > 0.30000000000000004"),
+            (2.0**39, 2.0**38, 2.0**38 + 1, "constituents sum past the total at "
+             "publications of year 2000: 549755813889.0 > 549755813888.0"),
+            (2.0**39 + 1, 2.0**38, 2.0**38, "total exceeds the constituents' sum at "
+             "publications of year 2000: 549755813889.0 > 549755813888.0"),
+        ],
+    )
+    def test_residual_beyond_the_tolerance(self, total, a, b, residual):
+        report = validate_collective(self.collective(total, a, b), assert_partition=True)
+        [finding] = report.errors
+        assert finding.code == "partition"
+        assert finding.message == f"partition residual: {residual}"
+
+    @pytest.mark.parametrize("total,a,b", [(0.29, 0.1, 0.2), (2.0**39, 2.0**38, 2.0**38 + 1)])
+    def test_pair_beyond_the_tolerance_raises(self, total, a, b):
+        with pytest.raises(SubsetError, match="A\\+B is not contained in T$"):
+            actor_vs_actor(self.collective(total, a, b), "a", "b")
 
 
 def _outcome(compute):

@@ -5,6 +5,8 @@ import statistics
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerhythm import (
     AlignmentError,
@@ -24,7 +26,7 @@ from citerhythm import (
     generate,
     internal_rhythm,
     max_relative_difference,
-    parse_events_csv,
+    validate_collective,
 )
 from citerhythm.oracle import _poisson, rest_corpus
 
@@ -148,6 +150,36 @@ def seeded_collective(seed: int, k: int = 5, n: int = 8) -> Collective:
     return Collective.build("synthetic", actors, total=total)
 
 
+@st.composite
+def fractional_splits(draw, max_n=8):
+    """An integer total split among K = 3..5 actors by per-year integer
+    weights 1..100: each actor gets its weight's share of a publication
+    year's publications and of that year's citations. Years without
+    publications have no citations."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(3, 5))
+    pubs = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    cites = [
+        draw(st.lists(st.integers(0, 25 if pubs[t] else 0), min_size=n - t, max_size=n - t))
+        for t in range(n)
+    ]
+    weights = draw(
+        st.lists(st.lists(st.integers(1, 100), min_size=n, max_size=n), min_size=k, max_size=k)
+    )
+    whole = [sum(column) for column in zip(*weights)]
+
+    def share(w):
+        return PCMatrix(
+            2000,
+            tuple(p * w[t] / whole[t] for t, p in enumerate(pubs)),
+            tuple(tuple(c * w[t] / whole[t] for c in row) for t, row in enumerate(cites)),
+        )
+
+    total = PCMatrix(2000, tuple(pubs), tuple(map(tuple, cites)), "T")
+    actors = {f"a{i}": share(w) for i, w in enumerate(weights)}
+    return Collective(label="Z", total=total, constituents=actors)
+
+
 class TestComparisonsMatchBruteForce:
     """The comparisons of the matrix path against the event-level oracle,
     with the rest of the collective subtracted by the oracle itself."""
@@ -171,6 +203,12 @@ class TestComparisonsMatchBruteForce:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_pair_of_a_generated_collective(self, seed):
         self.assert_match(seeded_collective(seed))
+
+    @settings(deadline=None)
+    @given(fractional_splits())
+    def test_every_pair_of_a_fractional_split(self, c):
+        assert validate_collective(c, assert_partition=True).ok
+        self.assert_match(c)
 
     def test_rest_corpus_subtracts_cell_by_cell(self):
         total = PCMatrix(2000, (3.0, 2.0), ((4.0, 1.0), (5.0,)))
@@ -254,17 +292,3 @@ class TestComparator:
         zero = PCMatrix.zero(china.first_year, china.n)
         b = internal_rhythm(zero)
         assert math.isinf(max_relative_difference(a, b))
-
-
-class TestEventsCsv:
-    def test_parse_with_and_without_weight(self):
-        text = "published_year,citing_year,weight\n2000,2001,2.5\n2001,2001\n"
-        corpus = parse_events_csv(text, 2000, (1.0, 1.0))
-        assert corpus.events == (
-            CitationEvent(2000, 2001, 2.5),
-            CitationEvent(2001, 2001, 1.0),
-        )
-
-    def test_header_required(self):
-        with pytest.raises(DomainError):
-            parse_events_csv("a,b\n1,2\n", 2000, (1.0,))

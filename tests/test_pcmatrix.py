@@ -14,7 +14,6 @@ from citerhythm import (
     YearOutOfRangeError,
     add,
     ck_profile,
-    observed_citations,
     subtract,
 )
 from helpers import random_matrix, scale_cites, scale_pubs
@@ -136,7 +135,7 @@ class TestConstruction:
 
 class TestObserved:
     def test_china_2015(self, china):
-        assert observed_citations(china, 2015) == 2149
+        assert china.sums.rows[0] == 2149
 
     def test_observed_all_matches_published_columns(self, china, brazil, golden):
         assert list(china.sums.rows) == golden["actors"]["china"]["observed"]
@@ -145,16 +144,10 @@ class TestObserved:
     def test_zero_matrix(self):
         z = PCMatrix.zero(2000, 4)
         assert z.sums.rows == (0.0, 0.0, 0.0, 0.0)
-        assert observed_citations(z, 2002) == 0.0
+        assert z.sums.rows[2] == 0.0
 
     def test_hand_sum_first_row(self):
-        assert observed_citations(toy3(), 2000) == 6.0
-
-    def test_year_out_of_range(self, china):
-        with pytest.raises(YearOutOfRangeError):
-            observed_citations(china, 2014)
-        with pytest.raises(YearOutOfRangeError):
-            observed_citations(china, 2025)
+        assert toy3().sums.rows[0] == 6.0
 
     @given(matrices())
     def test_total_mass_conserved(self, m):
@@ -293,6 +286,22 @@ class TestAddSubtract:
         more_pubs = PCMatrix(first_year=2000, pubs=(9.0, 2.0), cites=((1.0, 1.0), (1.0,)))
         with pytest.raises(SubsetError):
             subtract(a, more_pubs)
+
+    def test_subtract_forgives_a_rounding_excess(self):
+        # 0.1 + 0.2 rounds to 0.30000000000000004, past 0.3; the rest is 0.0.
+        total = PCMatrix(2000, (0.3, 0.3), ((0.3, 0.3), (0.3,)))
+        parts = PCMatrix(2000, (0.1 + 0.2, 0.3), ((0.3, 0.1 + 0.2), (0.2,)))
+        rest = subtract(total, parts)
+        assert rest.pubs == (0.0, 0.0)
+        assert rest.cites == ((0.0, 0.0), (0.3 - 0.2,))
+
+    @pytest.mark.parametrize("x,y", [(0.29, 0.1 + 0.2), (2.0**39, 2.0**39 + 1)])
+    def test_subtract_rejects_an_excess_beyond_the_tolerance(self, x, y):
+        a = PCMatrix(2000, (x,), ((x,),), "T")
+        with pytest.raises(SubsetError, match=rf"^publications of year 2000: {y} > {x};"):
+            subtract(a, PCMatrix(2000, (y,), ((x,),), "X"))
+        with pytest.raises(SubsetError, match=rf"^citations \(2000, 2000\): {y} > {x};"):
+            subtract(a, PCMatrix(2000, (x,), ((y,),), "X"))
 
     def test_alignment_required(self, china):
         shifted = PCMatrix(

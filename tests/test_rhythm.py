@@ -11,7 +11,6 @@ from citerhythm import (
     WindowError,
     ck_profile,
     cross_rhythm,
-    expected_citations,
     internal_rhythm,
     parse_matrix,
     sliding_windows,
@@ -31,21 +30,21 @@ def toy3() -> PCMatrix:
 
 class TestExpectedCitations:
     def test_china_against_own_profile(self, china):
-        e = expected_citations(china, ck_profile(china), 2015)
+        e = cross_rhythm(china, ck_profile(china)).points[0].expected
         assert e == pytest.approx(2415.864, abs=0.05)
 
     def test_china_against_world_profile(self, china, scim_minus_china):
-        e = expected_citations(china, ck_profile(scim_minus_china), 2015)
+        e = cross_rhythm(china, ck_profile(scim_minus_china)).points[0].expected
         assert e == pytest.approx(2730.114, abs=0.05)
 
     def test_zero_publications_mean_zero_expected(self):
         m = PCMatrix(first_year=2000, pubs=(0.0, 5.0), cites=((0.0, 0.0), (7.0,)))
-        assert expected_citations(m, ck_profile(m), 2000) == 0.0
+        assert cross_rhythm(m, ck_profile(m)).points[0].expected == 0.0
 
     def test_profile_length_must_match(self, china):
         short = ck_profile(PCMatrix(first_year=2015, pubs=(1.0,), cites=((1.0,),)))
         with pytest.raises(AlignmentError):
-            expected_citations(china, short, 2015)
+            cross_rhythm(china, short)
 
 
 class TestInternalRhythm:
@@ -148,8 +147,6 @@ class TestOverflowingResults:
         profile = CkProfile((1e10, 0.0), "p")
         with pytest.raises(DomainError, match="^obs: expected citations sum past"):
             cross_rhythm(m, profile)
-        with pytest.raises(DomainError, match="^obs: expected citations sum past"):
-            expected_citations(m, profile, 2000)
 
     def test_ratio_rejected(self):
         # A subnormal publication count gives a tiny expected value under
