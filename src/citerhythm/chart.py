@@ -18,6 +18,8 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 52
 _COLORS = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
+# Level of the reference line: a ratio of 1 means as cited as expected.
+_REFERENCE = 1.0
 
 
 def _escape(text: str) -> str:
@@ -46,19 +48,11 @@ def _ticks(upper: float, count: int = 5) -> list[float]:
     return [step * i for i in range(count + 1)]
 
 
-def line_chart(
-    years: tuple[int, ...],
-    series: list[ChartSeries],
-    title: str = "",
-    reference: float | None = 1.0,
-    y_label: str = "ratio",
-) -> str:
-    """Render series over a shared year axis, with a horizontal reference
-    line (class ``refline``) marking the given level. The y axis always
-    starts at 0 and leaves 10% headroom above the largest value."""
-    values = [v for s in series for _, v in s.points]
-    top = max(values + ([reference] if reference is not None else []) + [1e-9])
-    y_max = top * 1.1
+def line_chart(years: tuple[int, ...], series: list[ChartSeries], title: str) -> str:
+    """Render series of ratios over a shared year axis, with a horizontal
+    reference line (class ``refline``) at 1. The y axis always starts at 0
+    and leaves 10% headroom above the largest value."""
+    y_max = max([_REFERENCE] + [v for s in series for _, v in s.points]) * 1.1
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -77,11 +71,10 @@ def line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        out.append(
-            f'<text class="title" x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-size="15">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text class="title" x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-size="15">{_escape(title)}</text>'
+    )
 
     axis_bottom = _MARGIN_TOP + plot_h
     out.append(
@@ -102,7 +95,7 @@ def line_chart(
         )
     out.append(
         f'<text transform="rotate(-90)" x="{-(_MARGIN_TOP + plot_h / 2):.1f}" y="16" '
-        f'text-anchor="middle">{_escape(y_label)}</text>'
+        f'text-anchor="middle">ratio</text>'
     )
 
     label_step = max(1, len(years) // 15)
@@ -118,13 +111,12 @@ def line_chart(
             f'<text x="{tx:.1f}" y="{axis_bottom + 18}" text-anchor="middle">{year}</text>'
         )
 
-    if reference is not None and reference <= y_max:
-        ry = y(reference)
-        out.append(
-            f'<line class="refline" data-level="{reference:g}" x1="{_MARGIN_LEFT}" '
-            f'y1="{ry:.1f}" x2="{_WIDTH - _MARGIN_RIGHT}" y2="{ry:.1f}" '
-            f'stroke="#888" stroke-width="1" stroke-dasharray="2,3"/>'
-        )
+    ry = y(_REFERENCE)
+    out.append(
+        f'<line class="refline" data-level="{_REFERENCE:g}" x1="{_MARGIN_LEFT}" '
+        f'y1="{ry:.1f}" x2="{_WIDTH - _MARGIN_RIGHT}" y2="{ry:.1f}" '
+        f'stroke="#888" stroke-width="1" stroke-dasharray="2,3"/>'
+    )
 
     for idx, s in enumerate(series):
         if not s.points:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .chart import ChartSeries, line_chart
-from .collective import _rest_profile, actor_vs_actor, actor_vs_collective, validate_collective
+from .collective import actor_vs_actor, actor_vs_collective, validate_collective
 from .errors import RhythmError
 from .ingest import build_collective, load_manifest, parse_manifest, read_matrix_file
 from .oracle import (
@@ -31,7 +31,6 @@ from .oracle import (
     max_relative_difference,
     rest_corpus,
 )
-from .pcmatrix import ck_profile
 from .rhythm import RhythmSequence, cross_rhythm, internal_rhythm, sliding_windows
 
 ORACLE_TOLERANCE = 1e-9
@@ -42,9 +41,10 @@ _FLOAT_INTEGER_DIGITS = 309
 
 
 def format_number(value: float, decimals: int) -> str:
-    """Fixed-point rendering, ties rounded half away from zero."""
+    """Fixed-point rendering, ties rounded half away from zero; -0.0 prints
+    as 0."""
     context = Context(prec=_FLOAT_INTEGER_DIGITS + decimals, rounding=ROUND_HALF_UP)
-    d = Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=context)
+    d = Decimal(repr(value + 0.0)).quantize(Decimal(1).scaleb(-decimals), context=context)
     return format(d, "f")
 
 
@@ -108,7 +108,6 @@ def _emit_rhythm(
     args: argparse.Namespace,
     title: str,
     seq: RhythmSequence,
-    ck: tuple[float, ...],
     pubs: tuple[float, ...] | None = None,
 ) -> int:
     """One rhythm's per-year derivation (with the publications column when
@@ -116,7 +115,10 @@ def _emit_rhythm(
     if args.format == "svg":
         return _emit_chart(args, title, [(seq.observed_label or "ratio", seq)])
     headers = ["year", "observed", "ck", "expected", "ratio"]
-    rows = [[str(p.year), p.observed, c, p.expected, p.ratio] for p, c in zip(seq.points, ck)]
+    rows = [
+        [str(p.year), p.observed, ck, p.expected, p.ratio]
+        for p, ck in zip(seq.points, seq.profile.values)
+    ]
     if pubs is not None:
         headers.insert(1, "pubs")
         for row, count in zip(rows, pubs):
@@ -147,8 +149,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     c = build_collective(manifest)
     report = validate_collective(c, assert_partition=manifest.assert_partition)
     print(
-        f"collective {report.collective_label}: {report.constituent_count} constituents, "
-        f"window {report.first_year}-{report.first_year + report.n - 1}"
+        f"collective {c.label}: {len(c.constituents)} constituents, "
+        f"window {c.total.first_year}-{c.total.last_year}"
     )
     for finding in report.findings:
         print(f"  [{_severity(finding.severity)}] {finding.code}: {finding.message}")
@@ -162,15 +164,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_internal(args: argparse.Namespace) -> int:
     m = read_matrix_file(args.matrix).matrix
     title = f"Internal rhythm: {m.label} ({m.first_year}-{m.last_year})"
-    return _emit_rhythm(args, title, internal_rhythm(m), ck_profile(m).values)
+    return _emit_rhythm(args, title, internal_rhythm(m))
 
 
 def _cmd_external(args: argparse.Namespace) -> int:
     c = load_manifest(args.manifest)
-    actor = c.actor(args.actor)
-    rest = _rest_profile(c, {args.actor})
-    title = f"External rhythm: {actor.label} vs {rest.source_label}"
-    return _emit_rhythm(args, title, cross_rhythm(actor, rest), rest.values, actor.pubs)
+    seq = actor_vs_collective(c, args.actor)
+    title = f"External rhythm: {seq.observed_label} vs {seq.expectation_label}"
+    return _emit_rhythm(args, title, seq, c.actor(args.actor).pubs)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -204,30 +205,26 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     path = Path(args.data)
-    checks: list[tuple[str, float]] = []
-
     if path.suffix == ".manifest":
         c = load_manifest(path)
-        matrices = [("total", c.total)] + [
-            (actor_id, m) for actor_id, m in c.constituents.items()
-        ]
-        for name, m in matrices:
-            diff = max_relative_difference(
-                internal_rhythm(m), brute_force_rhythm(corpus_from_matrix(m))
-            )
-            checks.append((f"{name} internal", diff))
+        matrices = [("total", c.total), *c.constituents.items()]
+    else:
+        m = read_matrix_file(path).matrix
+        c, matrices = None, [(m.label, m)]
+
+    checks: list[tuple[str, float]] = []
+    for name, m in matrices:
+        diff = max_relative_difference(
+            internal_rhythm(m), brute_force_rhythm(corpus_from_matrix(m))
+        )
+        checks.append((f"{name} internal", diff))
+    if c is not None:
         for actor_id, m in c.constituents.items():
             diff = max_relative_difference(
                 actor_vs_collective(c, actor_id),
                 brute_force_rhythm(corpus_from_matrix(m), rest_corpus(c.total, [m])),
             )
             checks.append((f"{actor_id} vs rest", diff))
-    else:
-        m = read_matrix_file(path).matrix
-        diff = max_relative_difference(
-            internal_rhythm(m), brute_force_rhythm(corpus_from_matrix(m))
-        )
-        checks.append((f"{m.label} internal", diff))
 
     for trial in range(args.trials):
         n = 1 + (trial % 10)

@@ -134,11 +134,7 @@ class Finding:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    collective_label: str
-    first_year: int
-    n: int
-    constituent_count: int
-    findings: tuple[Finding, ...] = field(default=())
+    findings: tuple[Finding, ...]
 
     @property
     def errors(self) -> tuple[Finding, ...]:
@@ -228,19 +224,15 @@ def _partition_residual(c: Collective) -> str | None:
     return None
 
 
-def validate_collective(
-    c: Collective,
-    assert_partition: bool = False,
-    *,
-    dominance_share: float = DEFAULT_DOMINANCE_SHARE,
-    min_complement_pubs: float = DEFAULT_MIN_COMPLEMENT_PUBS,
-) -> ValidationReport:
+def validate_collective(c: Collective, assert_partition: bool = False) -> ValidationReport:
     """Diagnostic report for a collective.
 
     Errors: a constituent exceeding the total somewhere, and (with
     ``assert_partition``) any residual between the total and the constituent
-    sum. Warnings: a constituent so dominant or a complement so small that
-    comparing against the rest is meaningless. Warnings never fail a load.
+    sum. Warnings: a constituent holding more than
+    ``DEFAULT_DOMINANCE_SHARE`` of all publications, or a complement with
+    fewer than ``DEFAULT_MIN_COMPLEMENT_PUBS``, so that comparing against
+    the rest is meaningless. Warnings never fail a load.
     """
     findings: list[Finding] = []
     total_pubs = c.total.total_pubs
@@ -272,7 +264,7 @@ def validate_collective(
     for actor_id, m in c.constituents.items():
         actor_pubs = m.total_pubs
         share = actor_pubs / total_pubs if total_pubs > 0 else 1.0
-        if share > dominance_share:
+        if share > DEFAULT_DOMINANCE_SHARE:
             findings.append(
                 Finding(
                     "warning",
@@ -281,8 +273,9 @@ def validate_collective(
                     "comparisons against the rest are not meaningful",
                 )
             )
-        rest_pubs = total_pubs - actor_pubs
-        if rest_pubs < min_complement_pubs:
+        # Publications at or past the total leave no rest, not a negative one.
+        rest_pubs = max(total_pubs - actor_pubs, 0.0)
+        if rest_pubs < DEFAULT_MIN_COMPLEMENT_PUBS:
             findings.append(
                 Finding(
                     "warning",
@@ -292,10 +285,4 @@ def validate_collective(
                 )
             )
 
-    return ValidationReport(
-        collective_label=c.label,
-        first_year=c.total.first_year,
-        n=c.total.n,
-        constituent_count=len(c.constituents),
-        findings=tuple(findings),
-    )
+    return ValidationReport(tuple(findings))

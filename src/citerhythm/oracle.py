@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, DataConsistencyError, DomainError
-from .pcmatrix import PCMatrix
+from .pcmatrix import CkProfile, PCMatrix
 from .rhythm import CROSS, INTERNAL, RhythmPoint, RhythmSequence
 
 __all__ = [
@@ -111,12 +111,26 @@ def corpus_from_matrix(m: PCMatrix) -> EventCorpus:
     )
 
 
+def _remainder(count: float, parts: list[float]) -> float:
+    """``count`` minus each of ``parts`` in turn; 0.0 when the parts add up
+    to more than ``count`` by at most 2**-40 of their sum, the rounding that
+    fractional shares of a count leave."""
+    weight, removed = count, 0.0
+    for part in parts:
+        weight -= part
+        removed += part
+    if weight < 0 and removed - count <= 2.0**-40 * removed:
+        return 0.0
+    return weight
+
+
 def rest_corpus(total: PCMatrix, removed: list[PCMatrix]) -> EventCorpus:
     """The total minus the removed matrices, as one weighted event per
     non-zero cell. The differences are taken cell by cell with plain loops,
     so the rest of a collective shares no arithmetic with the matrix path's
-    sums. A removed matrix that does not fit inside the total leaves a
-    negative weight, which the corpus rejects with ``DomainError``."""
+    sums. A removed matrix that does not fit inside the total, beyond that
+    rounding, leaves a negative weight, which the corpus rejects with
+    ``DomainError``."""
     for m in removed:
         if m.first_year != total.first_year or m.n != total.n:
             raise AlignmentError(
@@ -126,15 +140,10 @@ def rest_corpus(total: PCMatrix, removed: list[PCMatrix]) -> EventCorpus:
     pub_weights = []
     events = []
     for t in range(total.n):
-        weight = total.pubs[t]
-        for m in removed:
-            weight -= m.pubs[t]
-        pub_weights.append(weight)
+        pub_weights.append(_remainder(total.pubs[t], [m.pubs[t] for m in removed]))
         year = total.first_year + t
         for o in range(total.n - t):
-            weight = total.cites[t][o]
-            for m in removed:
-                weight -= m.cites[t][o]
+            weight = _remainder(total.cites[t][o], [m.cites[t][o] for m in removed])
             if weight != 0:
                 events.append(CitationEvent(year, year + o, weight=weight))
     return EventCorpus(
@@ -216,25 +225,23 @@ def brute_force_rhythm(
         points=tuple(points),
         kind=INTERNAL if corpus_a is None else CROSS,
         observed_label=corpus_b.label,
-        expectation_label=expectation.label,
+        profile=CkProfile(tuple(per_age_average), expectation.label),
         i1=i1,
         i2=i2,
         undefined_years=tuple(undefined),
     )
 
 
-def default_age_curve(
-    n: int, peak_age: float = 2.0, per_paper_total: float = 5.0, spread: float = 0.8
-) -> tuple[float, ...]:
+def default_age_curve(n: int) -> tuple[float, ...]:
     """Rise-and-decay expected citations per paper by age (age 0 is the
-    publication year), normalized to sum to ``per_paper_total``."""
+    publication year), normalized to sum to 5."""
     if n < 1:
         raise ValueError("n must be >= 1")
     raw = [
-        math.exp(-((math.log((a + 1) / peak_age)) ** 2) / (2 * spread**2)) / (a + 1)
+        math.exp(-((math.log((a + 1) / 2.0)) ** 2) / (2 * 0.8**2)) / (a + 1)
         for a in range(n)
     ]
-    scale = per_paper_total / sum(raw)
+    scale = 5.0 / sum(raw)
     return tuple(r * scale for r in raw)
 
 

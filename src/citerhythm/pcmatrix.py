@@ -180,26 +180,9 @@ class PCMatrix:
             )
         return year - self.first_year
 
-    def pub_count(self, year: int) -> float:
-        return self.pubs[self._offset(year)]
-
-    def cite_count(self, pub_year: int, citing_year: int) -> float:
-        """Citations received in ``citing_year`` by ``pub_year`` publications."""
-        i = self._offset(pub_year)
-        j = self._offset(citing_year)
-        if j < i:
-            raise YearOutOfRangeError(
-                f"citing year {citing_year} precedes publication year {pub_year}"
-            )
-        return self.cites[i][j - i]
-
     @property
     def total_pubs(self) -> float:
         return sum(self.pubs)
-
-    @property
-    def total_cites(self) -> float:
-        return sum(sum(row) for row in self.cites)
 
     def window(self, start_year: int, length: int) -> "PCMatrix":
         """Square sub-matrix covering publication and citing years

@@ -46,7 +46,8 @@ class RhythmPoint:
 
 @dataclass(frozen=True)
 class RhythmSequence:
-    """A full R-sequence with its two summary indicators.
+    """A full R-sequence with its two summary indicators and the per-age
+    profile its expected values were computed from.
 
     ``i1`` is the ratio of sums (total observed over total expected), None
     when nothing is expected. ``i2`` is the plain average of the yearly
@@ -57,10 +58,14 @@ class RhythmSequence:
     points: tuple[RhythmPoint, ...]
     kind: str  # INTERNAL or CROSS
     observed_label: str
-    expectation_label: str
+    profile: CkProfile
     i1: float | None
     i2: float | None
     undefined_years: tuple[int, ...]
+
+    @property
+    def expectation_label(self) -> str:
+        return self.profile.source_label
 
     @property
     def n(self) -> int:
@@ -87,7 +92,6 @@ class RhythmSequence:
 class WindowSeries:
     """Rhythms of consecutive equal-width sub-windows, oldest start first."""
 
-    window_length: int
     entries: tuple[tuple[int, RhythmSequence], ...]
 
 
@@ -111,12 +115,7 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
     return expected
 
 
-def _assemble(
-    observed_source: PCMatrix,
-    profile: CkProfile,
-    kind: str,
-    expectation_label: str,
-) -> RhythmSequence:
+def _assemble(observed_source: PCMatrix, profile: CkProfile, kind: str) -> RhythmSequence:
     m = observed_source
     expected = _expected(m, profile)
     observed = m.sums.rows
@@ -137,7 +136,7 @@ def _assemble(
         points=tuple(map(RhythmPoint, years, observed, expected, ratios)),
         kind=kind,
         observed_label=m.label,
-        expectation_label=expectation_label,
+        profile=profile,
         i1=i1,
         i2=i2,
         undefined_years=undefined,
@@ -146,7 +145,7 @@ def _assemble(
 
 def internal_rhythm(m: PCMatrix) -> RhythmSequence:
     """R-sequence of a matrix against its own per-age averages."""
-    return _assemble(m, ck_profile(m), INTERNAL, m.label)
+    return _assemble(m, ck_profile(m), INTERNAL)
 
 
 def cross_rhythm(
@@ -157,16 +156,10 @@ def cross_rhythm(
     profile from another covering the same window. A profile computed
     beforehand may stand in for that matrix; its ``source_label`` then
     names the expectation."""
-    if isinstance(expectation_source, CkProfile):
-        profile = expectation_source
-        return _assemble(observed_source, profile, CROSS, profile.source_label)
-    _check_aligned(observed_source, expectation_source)
-    return _assemble(
-        observed_source,
-        ck_profile(expectation_source),
-        CROSS,
-        expectation_source.label,
-    )
+    if isinstance(expectation_source, PCMatrix):
+        _check_aligned(observed_source, expectation_source)
+        expectation_source = ck_profile(expectation_source)
+    return _assemble(observed_source, expectation_source, CROSS)
 
 
 def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:
@@ -178,24 +171,13 @@ def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:
     return sum(defined) / len(defined), len(defined)
 
 
-def sliding_windows(
-    m: PCMatrix,
-    window: int,
-    expectation_source: PCMatrix | None = None,
-) -> WindowSeries:
-    """Rhythms of every width-``window`` sub-matrix, shifted one year at a
-    time. Per-age profiles are recomputed inside each window, since each
-    sub-window is a self-contained p-c matrix."""
+def sliding_windows(m: PCMatrix, window: int) -> WindowSeries:
+    """Internal rhythms of every width-``window`` sub-matrix, shifted one
+    year at a time. Per-age profiles are recomputed inside each window,
+    since each sub-window is a self-contained p-c matrix."""
     if window < 1 or window > m.n:
         raise WindowError(f"window width {window} outside 1..{m.n}")
-    if expectation_source is not None:
-        _check_aligned(m, expectation_source)
     entries = []
     for start in range(m.first_year, m.last_year - window + 2):
-        sub = m.window(start, window)
-        if expectation_source is None:
-            seq = internal_rhythm(sub)
-        else:
-            seq = cross_rhythm(sub, expectation_source.window(start, window))
-        entries.append((start, seq))
-    return WindowSeries(window_length=window, entries=tuple(entries))
+        entries.append((start, internal_rhythm(m.window(start, window))))
+    return WindowSeries(tuple(entries))

@@ -43,6 +43,7 @@ class TestFormatNumber:
             (1e30, 3, "1000000000000000000000000000000.000"),  # past 28 digits
             (0.0, 7, "0.0000000"),  # fixed point below 1e-6 too
             (1e-10, 12, "0.000000000100"),
+            (-0.0, 3, "0.000"),
         ],
     )
     def test_half_away_from_zero(self, value, decimals, expected):
@@ -119,6 +120,17 @@ class TestInternal:
             "2020  5.0000000  0.0000000  5.0000000  1.0000000",
             "2021  0.0000000  5.0000000  0.0000000          -",
         ]
+
+    @pytest.mark.parametrize(
+        "fmt,row",
+        [("text", "2020     0.000  2.000     0.000      -"), ("csv", "2020,0.000,2.000,0.000,")],
+    )
+    def test_negative_zero_count_prints_as_zero(self, capsys, tmp_path, fmt, row):
+        p = tmp_path / "m.csv"
+        p.write_text("year,pubs,2020,2021\n2020,-0,0,0\n2021,2,,4\n")
+        code, out, _ = run(capsys, "internal", str(p), "--format", fmt)
+        assert code == 0
+        assert row in out.splitlines()
 
     def test_csv_cells_reparse_to_computed_values(self, capsys):
         from citerhythm import ck_profile, internal_rhythm, read_matrix
@@ -389,6 +401,24 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", str(p), "--trials", "3")
         assert code == 0
         assert "all within" in out
+
+    def test_rounding_excess_of_fractional_shares(self, capsys, tmp_path):
+        # Actor c's cells, 0.1 + 0.2, round past the total's 0.3.
+        for name, x in (("total", 0.3), ("a", 0.1), ("c", 0.1 + 0.2)):
+            (tmp_path / f"{name}.csv").write_text(
+                f"year,pubs,2020,2021\n2020,{x!r},{x!r},{x!r}\n2021,{x!r},,{x!r}\n"
+            )
+        p = tmp_path / "f.manifest"
+        p.write_text(
+            "[collective]\nlabel = F\ntotal = total.csv\n\n"
+            "[actor]\nid = a\nlabel = A\npath = a.csv\n\n"
+            "[actor]\nid = c\nlabel = C\npath = c.csv\n"
+        )
+        assert run(capsys, "validate", str(p))[0] == 0
+        assert run(capsys, "external", str(p), "--actor", "c")[0] == 0
+        code, out, _ = run(capsys, "oracle-check", str(p), "--trials", "3")
+        assert code == 0
+        assert out.endswith("all within 1e-09\n")
 
     def test_only_the_manifest_suffix_selects_a_manifest(self, capsys, tmp_path):
         p = tmp_path / "scim.txt"

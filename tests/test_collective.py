@@ -146,6 +146,13 @@ class TestActorVsActor:
         )
         assert br.expectation_label == nl.expectation_label == result.baseline_label
 
+    def test_both_hold_the_baseline_profile(self, scim):
+        result = actor_vs_actor(scim, "brazil", "netherlands")
+        baseline = ck_profile(complement(scim, {"brazil", "netherlands"}))
+        for seq in result.sequences.values():
+            assert seq.profile == baseline
+            assert seq.profile.source_label == result.baseline_label
+
     def test_winner_by_year(self, scim):
         result = actor_vs_actor(scim, "brazil", "netherlands")
         winners = dict(zip(result.years, result.per_year_winner))
@@ -180,8 +187,6 @@ class TestValidate:
     def test_scim_is_clean(self, scim):
         report = validate_collective(scim)
         assert report.ok
-        assert report.constituent_count == 3
-        assert report.first_year == 2015 and report.n == 10
         assert not report.warnings
         # China is the largest named constituent but far below dominance.
         share = scim.actor("china").total_pubs / scim.total.total_pubs
@@ -200,7 +205,7 @@ class TestValidate:
         big = small(pubs=(30.0, 30.0))
         tiny = small(pubs=(1.0, 1.0), cites=((0.0, 0.0), (0.0,)))
         c = Collective.build("pond", {"big": big, "tiny": tiny})
-        report = validate_collective(c, min_complement_pubs=20.0)
+        report = validate_collective(c)
         smallness = [f for f in report.warnings if f.code == "smallness"]
         assert len(smallness) == 1
         assert "'big'" in smallness[0].message
@@ -258,9 +263,23 @@ class TestValidate:
         [finding] = validate_collective(c, assert_partition=True).errors
         assert finding.message == "partition residual: constituents sum past the largest float"
 
-    def test_thresholds_configurable(self, scim):
-        strict = validate_collective(scim, dominance_share=0.2, min_complement_pubs=5000)
-        assert {f.code for f in strict.warnings} == {"dominance", "smallness"}
+    def test_rounding_excess_leaves_no_negative_rest(self):
+        # 0.1 + 0.2 rounds to 0.30000000000000004, past the total's 0.3:
+        # the subset check forgives that, and the rest counts 0 publications.
+        total = small("T", pubs=(0.3, 0.3), cites=((0.3, 0.3), (0.3,)))
+        over = 0.1 + 0.2
+        c = Collective(
+            label="C",
+            total=total,
+            constituents={"c": small("c", pubs=(over, over), cites=((over, over), (over,)))},
+        )
+        report = validate_collective(c)
+        assert report.ok
+        [smallness] = [f for f in report.warnings if f.code == "smallness"]
+        assert smallness.message == (
+            "complement of 'c' has only 0 publications; "
+            "comparisons against the rest are not meaningful"
+        )
 
 
 class TestContainment:

@@ -1,6 +1,8 @@
 """The package runs on the standard library alone: every import is relative
 or of a standard-library module, and the project declares no dependencies.
-A third-party import would add its load time to every CLI process."""
+A third-party import would add its load time to every CLI process. The CLI
+imports only public names from the package, so each rule it relies on lives
+behind one module's public interface."""
 
 import ast
 import sys
@@ -34,6 +36,20 @@ def test_imports_are_relative_or_stdlib(path):
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_cli_imports_only_public_names():
+    path = ROOT / "src" / "citerhythm" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        # Dunder names such as __version__ are public.
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_pyproject_declares_no_dependencies():

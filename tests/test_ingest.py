@@ -40,8 +40,8 @@ class TestParse:
     def test_china_fixture(self, china):
         assert china.first_year == 2015
         assert china.n == 10
-        assert china.pub_count(2015) == 74
-        assert china.cite_count(2015, 2016) == 104
+        assert china.pubs[0] == 74
+        assert china.cites[0][1] == 104  # cited in 2016
         assert sum(china.cites[0]) == 2149
 
     def test_minimal_one_year_document(self):
@@ -51,7 +51,7 @@ class TestParse:
         assert m.cites == ((5.0,),)
 
     def test_explicit_zero_is_parsed_as_zero(self, netherlands):
-        assert netherlands.cite_count(2022, 2022) == 0.0
+        assert netherlands.cites[2022 - 2015][0] == 0.0
 
     def test_non_numeric_cell_position_reported(self):
         text = "year,pubs,2020,2021\n2020,1,2,x\n2021,1,,3\n"

@@ -81,14 +81,14 @@ class TestAggregate:
 
     def test_total_weight_conserved_integer(self):
         corpus = generate(8, spec_for(5))
-        assert aggregate(corpus).total_cites == sum(ev.weight for ev in corpus.events)
+        assert sum(aggregate(corpus).sums.rows) == sum(ev.weight for ev in corpus.events)
 
     def test_total_weight_conserved_fractional(self):
         events = tuple(
             CitationEvent(2000, 2000 + i % 2, weight=0.1 + 0.01 * i) for i in range(20)
         )
         corpus = EventCorpus(2000, (1.5, 2.5), events)
-        total = aggregate(corpus).total_cites
+        total = sum(aggregate(corpus).sums.rows)
         assert total == pytest.approx(sum(ev.weight for ev in events), rel=1e-9)
 
     def test_matrix_corpus_roundtrip(self, china):
@@ -236,7 +236,7 @@ class TestGenerate:
     def test_zero_curve_means_zero_citations(self):
         spec = CorpusSpec(n=4, pubs_range=(1, 5), age_curve=(0.0,) * 4)
         m = aggregate(generate(3, spec))
-        assert m.total_cites == 0.0
+        assert sum(m.sums.rows) == 0.0
 
     @pytest.mark.parametrize("lam,seed", [(0.3, 1), (4.0, 2), (50.0, 3), (2000.0, 4)])
     def test_poisson_mean_and_variance(self, lam, seed):
@@ -275,9 +275,9 @@ class TestGenerate:
             CorpusSpec(**kwargs)
 
     def test_default_curve_shape(self):
-        curve = default_age_curve(12, per_paper_total=7.0)
+        curve = default_age_curve(12)
         assert len(curve) == 12
-        assert sum(curve) == pytest.approx(7.0, rel=1e-12)
+        assert sum(curve) == pytest.approx(5.0, rel=1e-12)
         assert all(v >= 0 for v in curve)
         assert curve[1] > curve[11]  # early peak, long decay
 
