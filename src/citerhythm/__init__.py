@@ -59,8 +59,6 @@ from .pcmatrix import (
     subtract,
 )
 from .rhythm import (
-    CROSS,
-    INTERNAL,
     RhythmPoint,
     RhythmSequence,
     WindowSeries,
@@ -82,8 +80,6 @@ __all__ = [
     "RhythmPoint",
     "RhythmSequence",
     "WindowSeries",
-    "INTERNAL",
-    "CROSS",
     "internal_rhythm",
     "cross_rhythm",
     "summary_i2_lenient",

@@ -131,19 +131,6 @@ def _emit_rhythm(
     return _emit_table(args, title, headers, rows, csv_footers, text_footers)
 
 
-def _color_enabled() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("RHYTHM_NO_COLOR")
-
-
-_SEVERITY_STYLE = {"error": "31", "warning": "33", "info": "36"}
-
-
-def _severity(word: str) -> str:
-    if _color_enabled() and word in _SEVERITY_STYLE:
-        return f"\x1b[{_SEVERITY_STYLE[word]}m{word}\x1b[0m"
-    return word
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
     c = build_collective(manifest)
@@ -153,7 +140,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"window {c.total.first_year}-{c.total.last_year}"
     )
     for finding in report.findings:
-        print(f"  [{_severity(finding.severity)}] {finding.code}: {finding.message}")
+        print(f"  [{finding.severity}] {finding.code}: {finding.message}")
     if report.ok:
         print("ok")
         return 0

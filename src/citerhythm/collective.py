@@ -10,11 +10,12 @@ different baselines by construction.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .errors import AlignmentError, DomainError, UnknownActorError
-from .pcmatrix import CkProfile, PCMatrix, _first_excess, _sum_of, ck_profile, subtract
+from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _sum_of, ck_profile, subtract
 from .rhythm import RhythmSequence, cross_rhythm
 
 __all__ = [
@@ -43,17 +44,17 @@ def _cells(m: PCMatrix) -> Iterable[float]:
 def _sums_subtract_exactly(c: "Collective") -> bool:
     """Whether the total's sums minus any one or two constituents' sums
     equal the sums of their complement exactly. That holds when every cell
-    holds an integer, the total's cells add up to less than 2**53 (so no
-    sum involved is rounded) and every constituent and every pair of
-    constituents fits inside the total cell by cell (so no complement
-    fails); the largest and second-largest value of each cell stand for
-    all pairs."""
+    holds an integer, the total's cells add up to less than 2**40 (so no
+    sum involved is rounded, and two counts ``subtract`` calls the same
+    are equal) and every constituent and every pair of constituents fits
+    inside the total cell by cell (so no complement fails); the largest
+    and second-largest value of each cell stand for all pairs."""
     parts = [_cells(m) for m in c.constituents.values()]
     for x, *column in zip(_cells(c.total), *parts):
         second, first = sorted((0.0, *column))[-2:]
         if first + second > x or not all(v.is_integer() for v in (x, *column)):
             return False
-    return sum(_cells(c.total)) < 2.0**53
+    return sum(_cells(c.total)) < 1 / _REL_TOL
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class Collective:
     label: str
     total: PCMatrix
     constituents: dict[str, PCMatrix]
-    _sums_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for actor_id, m in self.constituents.items():
@@ -80,7 +80,11 @@ class Collective:
                     f"constituent {actor_id!r} covers {m.first_year}-{m.last_year}, "
                     f"total covers {self.total.first_year}-{self.total.last_year}"
                 )
-        object.__setattr__(self, "_sums_exact", _sums_subtract_exactly(self))
+        self._sums_exact  # the pass runs at build, outside any comparison
+
+    @cached_property
+    def _sums_exact(self) -> bool:
+        return _sums_subtract_exactly(self)
 
     @classmethod
     def build(

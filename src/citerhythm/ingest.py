@@ -176,7 +176,8 @@ def read_matrix_file(path: str | Path, label: str | None = None) -> MatrixFile:
     return MatrixFile(path=path, matrix=matrix, sha256=hashlib.sha256(raw).hexdigest())
 
 
-_BOOL_VALUES = {"true": True, "false": False}
+_COLLECTIVE_KEYS = ("label", "total", "assert_partition")
+_ACTOR_KEYS = ("id", "label", "path")
 
 
 def parse_manifest(path: str | Path) -> CollectiveManifest:
@@ -185,7 +186,8 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     The format is line-based: a single ``[collective]`` section (keys
     ``label``, optional ``total``, optional ``assert_partition``) followed
     by one ``[actor]`` section per constituent (keys ``id``, ``label``,
-    ``path``). ``#`` and ``;`` start comments; matrix paths are resolved
+    ``path``). Any other key, or a key given twice in one section, is an
+    error. ``#`` and ``;`` start comments; matrix paths are resolved
     relative to the manifest file.
     """
     path = Path(path)
@@ -198,6 +200,7 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     collective: dict[str, str] | None = None
     actors: list[dict[str, str]] = []
     current: dict[str, str] | None = None
+    keys: tuple[str, ...] = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -206,10 +209,10 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
             if collective is not None:
                 raise ManifestError(f"line {lineno}: duplicate [collective] section")
             collective = {}
-            current = collective
+            current, keys = collective, _COLLECTIVE_KEYS
         elif line == "[actor]":
             actors.append({})
-            current = actors[-1]
+            current, keys = actors[-1], _ACTOR_KEYS
         elif line.startswith("["):
             raise ManifestError(f"line {lineno}: unknown section {line}")
         else:
@@ -218,24 +221,26 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ManifestError(f"line {lineno}: expected key = value, got {line!r}")
-            current[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ManifestError(f"line {lineno}: unknown key {key!r}")
+            if key in current:
+                raise ManifestError(f"line {lineno}: duplicate key {key!r}")
+            current[key] = value.strip()
 
     if collective is None:
         raise ManifestError("manifest has no [collective] section")
     if "label" not in collective:
         raise ManifestError("[collective] section needs a label")
-    assert_partition = False
-    if "assert_partition" in collective:
-        flag = collective["assert_partition"].lower()
-        if flag not in _BOOL_VALUES:
-            raise ManifestError(f"assert_partition must be true or false, got {flag!r}")
-        assert_partition = _BOOL_VALUES[flag]
+    flag = collective.get("assert_partition", "false").lower()
+    if flag not in ("true", "false"):
+        raise ManifestError(f"assert_partition must be true or false, got {flag!r}")
     total_path = base / collective["total"] if "total" in collective else None
 
     parsed_actors: list[ManifestActor] = []
     seen: set[str] = set()
     for idx, actor in enumerate(actors, start=1):
-        missing = [k for k in ("id", "label", "path") if k not in actor]
+        missing = [k for k in _ACTOR_KEYS if k not in actor]
         if missing:
             raise ManifestError(f"actor #{idx} is missing {', '.join(missing)}")
         if actor["id"] in seen:
@@ -251,7 +256,7 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
         label=collective["label"],
         total_path=total_path,
         actors=tuple(parsed_actors),
-        assert_partition=assert_partition,
+        assert_partition=flag == "true",
     )
 
 

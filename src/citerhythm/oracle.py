@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import AlignmentError, DataConsistencyError, DomainError
 from .pcmatrix import CkProfile, PCMatrix
-from .rhythm import CROSS, INTERNAL, RhythmPoint, RhythmSequence
+from .rhythm import RhythmPoint, RhythmSequence
 
 __all__ = [
     "CitationEvent",
@@ -97,29 +97,18 @@ def aggregate(corpus: EventCorpus) -> PCMatrix:
 
 def corpus_from_matrix(m: PCMatrix) -> EventCorpus:
     """Re-express a matrix as one weighted event per non-zero cell."""
-    events = []
-    for t, row in enumerate(m.cites):
-        for o, value in enumerate(row):
-            if value > 0:
-                year = m.first_year + t
-                events.append(CitationEvent(year, year + o, weight=value))
-    return EventCorpus(
-        first_year=m.first_year,
-        pub_weights=m.pubs,
-        events=tuple(events),
-        label=m.label,
-    )
+    return replace(rest_corpus(m, []), label=m.label)
 
 
 def _remainder(count: float, parts: list[float]) -> float:
     """``count`` minus each of ``parts`` in turn; 0.0 when the parts add up
-    to more than ``count`` by at most 2**-40 of their sum, the rounding that
-    fractional shares of a count leave."""
+    to ``count`` within 2**-40 of the larger of the two, the rounding that
+    fractional shares of a count leave, whichever side it falls on."""
     weight, removed = count, 0.0
     for part in parts:
         weight -= part
         removed += part
-    if weight < 0 and removed - count <= 2.0**-40 * removed:
+    if abs(removed - count) <= 2.0**-40 * max(removed, count):
         return 0.0
     return weight
 
@@ -223,7 +212,6 @@ def brute_force_rhythm(
 
     return RhythmSequence(
         points=tuple(points),
-        kind=INTERNAL if corpus_a is None else CROSS,
         observed_label=corpus_b.label,
         profile=CkProfile(tuple(per_age_average), expectation.label),
         i1=i1,

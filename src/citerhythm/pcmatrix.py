@@ -88,13 +88,17 @@ class Sums:
         return CkProfile(values=tuple(values), source_label=label)
 
 
-def _check_count(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{what} must be non-negative, got {value!r}")
-    return value
+def _counts(values: Iterable[float], what: str) -> tuple[float, ...]:
+    counts = tuple(map(float, values))
+    # A finite sum and a minimum >= 0 make every count finite and
+    # non-negative; otherwise walk the counts for the first bad one.
+    if not (math.isfinite(sum(counts)) and min(counts, default=0.0) >= 0):
+        for count in counts:
+            if not math.isfinite(count):
+                raise DomainError(f"{what} must be finite, got {count!r}")
+            if count < 0:
+                raise DomainError(f"{what} must be non-negative, got {count!r}")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ class PCMatrix:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        pubs = tuple(_check_count(p, "publication count") for p in self.pubs)
+        pubs = _counts(self.pubs, "publication count")
         if not pubs:
             raise ValueError("matrix must cover at least one year")
         n = len(pubs)
@@ -126,7 +130,7 @@ class PCMatrix:
                 raise ValueError(
                     f"citation row {t} must have {n - t} cells, got {len(row)}"
                 )
-            rows.append(tuple(_check_count(c, "citation count") for c in row))
+            rows.append(_counts(row, "citation count"))
         object.__setattr__(self, "pubs", pubs)
         object.__setattr__(self, "cites", tuple(rows))
 
@@ -235,13 +239,7 @@ class CkProfile:
     source_label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        values = tuple(map(float, self.values))
-        # A finite sum and a minimum >= 0 make every value finite and
-        # non-negative; otherwise walk the values for the first bad one.
-        if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0):
-            for value in values:
-                _check_count(value, "profile value")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _counts(self.values, "profile value"))
 
     @property
     def n(self) -> int:
@@ -314,8 +312,8 @@ def _first_excess(a: PCMatrix, b: PCMatrix) -> str | None:
 
 
 def _difference(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    # A cell whose excess ``_first_excess`` forgave becomes 0.0.
-    return tuple(x - y if y <= x else 0.0 for x, y in zip(a, b))
+    # Two counts the rule calls the same leave 0.0, whichever is larger.
+    return tuple(0.0 if _same(x, y) else x - y for x, y in zip(a, b))
 
 
 def subtract(a: PCMatrix, b: PCMatrix) -> PCMatrix:

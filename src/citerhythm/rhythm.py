@@ -20,16 +20,11 @@ __all__ = [
     "RhythmPoint",
     "RhythmSequence",
     "WindowSeries",
-    "INTERNAL",
-    "CROSS",
     "internal_rhythm",
     "cross_rhythm",
     "summary_i2_lenient",
     "sliding_windows",
 ]
-
-INTERNAL = "internal"
-CROSS = "cross"
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,6 @@ class RhythmSequence:
     """
 
     points: tuple[RhythmPoint, ...]
-    kind: str  # INTERNAL or CROSS
     observed_label: str
     profile: CkProfile
     i1: float | None
@@ -115,7 +109,7 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
     return expected
 
 
-def _assemble(observed_source: PCMatrix, profile: CkProfile, kind: str) -> RhythmSequence:
+def _assemble(observed_source: PCMatrix, profile: CkProfile) -> RhythmSequence:
     m = observed_source
     expected = _expected(m, profile)
     observed = m.sums.rows
@@ -134,7 +128,6 @@ def _assemble(observed_source: PCMatrix, profile: CkProfile, kind: str) -> Rhyth
         )
     return RhythmSequence(
         points=tuple(map(RhythmPoint, years, observed, expected, ratios)),
-        kind=kind,
         observed_label=m.label,
         profile=profile,
         i1=i1,
@@ -145,7 +138,7 @@ def _assemble(observed_source: PCMatrix, profile: CkProfile, kind: str) -> Rhyth
 
 def internal_rhythm(m: PCMatrix) -> RhythmSequence:
     """R-sequence of a matrix against its own per-age averages."""
-    return _assemble(m, ck_profile(m), INTERNAL)
+    return _assemble(m, ck_profile(m))
 
 
 def cross_rhythm(
@@ -159,7 +152,7 @@ def cross_rhythm(
     if isinstance(expectation_source, PCMatrix):
         _check_aligned(observed_source, expectation_source)
         expectation_source = ck_profile(expectation_source)
-    return _assemble(observed_source, expectation_source, CROSS)
+    return _assemble(observed_source, expectation_source)
 
 
 def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:

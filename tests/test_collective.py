@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,12 @@ from citerhythm import (
     ck_profile,
     complement,
     cross_rhythm,
+    fixture_path,
+    load_manifest,
     subtract,
     validate_collective,
 )
+from citerhythm.collective import _sums_subtract_exactly
 
 
 def small(label="m", first_year=2000, pubs=(4.0, 2.0), cites=((3.0, 5.0), (2.0,))):
@@ -359,6 +364,24 @@ class TestFractionalCounts:
         with pytest.raises(SubsetError, match="A\\+B is not contained in T$"):
             actor_vs_actor(self.collective(total, a, b), "a", "b")
 
+    def test_pair_holding_the_whole_collective(self):
+        # The total's citations exceed a + b = 0.30000000000000004 by one
+        # unit in the last place: a rounding rest, not citations without
+        # publications.
+        total = PCMatrix(2000, (0.1 + 0.2,), ((math.nextafter(0.1 + 0.2, 1),),), "T")
+        c = Collective(
+            label="C",
+            total=total,
+            constituents={
+                x: PCMatrix(2000, (v,), ((v,),), x.upper()) for x, v in (("a", 0.1), ("b", 0.2))
+            },
+        )
+        assert validate_collective(c, assert_partition=True).ok
+        assert complement(c, {"a", "b"}) == PCMatrix(2000, (0.0,), ((0.0,),))
+        result = actor_vs_actor(c, "a", "b")
+        assert result.per_year_winner == (None,)
+        assert all(seq.undefined_years == (2000,) for seq in result.sequences.values())
+
 
 def _outcome(compute):
     try:
@@ -465,6 +488,31 @@ class TestSumsMatchComplements:
         c = Collective(label="C", total=total, constituents={"a": a})
         assert actor_vs_collective(c, "a").ratios == (2.0**54, 0.0)
         assert_matches_complements(c)
+
+    def test_counts_past_the_tolerance_bound(self):
+        # 2**41 - 1 is within 2**-40 of 2**41, so subtract calls them the
+        # same and leaves 0, where subtracting sums would leave 1.
+        total = small("T", pubs=(2.0, 2.0), cites=((2.0**41, 0.0), (1.0,)))
+        a = small("A", pubs=(1.0, 1.0), cites=((2.0**41 - 1, 0.0), (0.0,)))
+        c = Collective(label="C", total=total, constituents={"a": a})
+        assert complement(c, {"a"}).cites[0][0] == 0.0
+        assert_matches_complements(c)
+
+    def test_exactness_pass_runs_once_at_build(self, monkeypatch):
+        # Comparisons are what callers time, so none of them runs the pass.
+        calls = []
+
+        def counted(c):
+            calls.append(c.label)
+            return _sums_subtract_exactly(c)
+
+        monkeypatch.setattr("citerhythm.collective._sums_subtract_exactly", counted)
+        c = load_manifest(fixture_path("scim.manifest"))
+        assert calls == ["SCIM"]
+        assert validate_collective(c).ok
+        actor_vs_collective(c, "china")
+        actor_vs_actor(c, "brazil", "netherlands")
+        assert calls == ["SCIM"]
 
     def test_citations_lost_to_rounding_still_raise(self):
         # The rest holds 2**-53 citations at age 1 and no publications. Its

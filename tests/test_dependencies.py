@@ -2,7 +2,8 @@
 or of a standard-library module, and the project declares no dependencies.
 A third-party import would add its load time to every CLI process. The CLI
 imports only public names from the package, so each rule it relies on lives
-behind one module's public interface."""
+behind one module's public interface. No module reads the environment, so a
+command's output depends on its arguments and input files alone."""
 
 import ast
 import sys
@@ -50,6 +51,30 @@ def test_cli_imports_only_public_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = [
+        f"line {node.lineno}: os.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        and node.attr in _ENVIRONMENT_READERS
+    ]
+    reads += [
+        f"line {node.lineno}: from os import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+        if alias.name in _ENVIRONMENT_READERS
+    ]
+    assert reads == []
 
 
 def test_pyproject_declares_no_dependencies():

@@ -387,6 +387,31 @@ class TestManifest:
             parse_manifest(p)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "after,inserted,message",
+        [
+            # A misspelt assert_partition would skip the partition check.
+            ("total = scim_total.csv\n", "asert_partition = true\n",
+             "line 6: unknown key 'asert_partition'"),
+            ("path = brazil.csv\n", "weight = 0.5\n", "line 16: unknown key 'weight'"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, after, inserted, message):
+        text = fixture_path("scim.manifest").read_text(encoding="utf-8")
+        p = self._write(tmp_path, text.replace(after, after + inserted))
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value) == message
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # A second id in China's section would rename China.
+        text = fixture_path("scim.manifest").read_text(encoding="utf-8")
+        text = text.replace("path = china.csv\n", "path = china.csv\nid = brazil\n")
+        p = self._write(tmp_path, text)
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value) == "line 11: duplicate key 'id'"
+
     def test_build_without_validation(self, tmp_path, china, brazil):
         # build_collective skips validation so callers can inspect reports
         (tmp_path / "total.csv").write_text(write_matrix(brazil))

@@ -217,6 +217,16 @@ class TestComparisonsMatchBruteForce:
         assert rest.pub_weights == (2.0, 0.0)
         assert rest.events == (CitationEvent(2000, 2001, 0.5), CitationEvent(2001, 2001, 4.0))
 
+    def test_pair_holding_the_whole_collective(self):
+        # Removing 0.1 and then 0.2 from 0.1 + 0.2, or from the next float
+        # up, leaves a rounding rest on either side of 0: no weight at all.
+        total = PCMatrix(2000, (0.1 + 0.2,), ((math.nextafter(0.1 + 0.2, 1),),), "T")
+        a = PCMatrix(2000, (0.1,), ((0.1,),), "A")
+        b = PCMatrix(2000, (0.2,), ((0.2,),), "B")
+        rest = rest_corpus(total, [a, b])
+        assert (rest.pub_weights, rest.events) == ((0.0,), ())
+        self.assert_match(Collective(label="C", total=total, constituents={"a": a, "b": b}))
+
     def test_rest_corpus_rejects_a_part_outside_the_total(self, china, scim_total):
         with pytest.raises(DomainError):
             rest_corpus(china, [scim_total])

@@ -109,6 +109,14 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PCMatrix(first_year=2000, pubs=(1.0,), cites=((-2.0,),))
 
+    def test_row_is_converted_before_it_is_checked(self):
+        # The row goes through float as a whole, so a non-number wins over
+        # an earlier negative count.
+        with pytest.raises(ValueError, match="could not convert"):
+            PCMatrix(first_year=2000, pubs=(1.0, 1.0), cites=((-1.0, "x"), (0.0,)))
+        with pytest.raises(DomainError, match="^citation count must be non-negative, got -1.0$"):
+            PCMatrix(first_year=2000, pubs=(1.0, 1.0), cites=((-1.0, 2.0), (0.0,)))
+
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError):
             PCMatrix(first_year=2000, pubs=(1.0, 2.0), cites=((1.0, 2.0),))
@@ -367,10 +375,15 @@ class TestDerivedMatricesEqualValidatedOnes:
     @given(contained_pairs())
     def test_subtract(self, pair):
         a, b = pair
+
+        def rest(x, y):
+            # The rest rule: 0.0 where the counts are within 2**-40 of the larger.
+            return 0.0 if abs(x - y) <= 2.0**-40 * max(x, y) else x - y
+
         expected = PCMatrix(
             a.first_year,
-            [x - y for x, y in zip(a.pubs, b.pubs)],
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.cites, b.cites)],
+            list(map(rest, a.pubs, b.pubs)),
+            [list(map(rest, ra, rb)) for ra, rb in zip(a.cites, b.cites)],
             f"{a.label}-{b.label}" if a.label and b.label else a.label,
         )
         _same(subtract(a, b), expected)

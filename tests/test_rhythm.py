@@ -78,9 +78,8 @@ class TestInternalRhythm:
         with pytest.raises(DomainError, match="^big: counts sum past the largest float"):
             internal_rhythm(m)
 
-    def test_kind_and_labels(self, china):
+    def test_labels(self, china):
         seq = internal_rhythm(china)
-        assert seq.kind == "internal"
         assert seq.observed_label == seq.expectation_label == china.label
 
     def test_holds_its_own_profile(self, china):
@@ -104,7 +103,6 @@ class TestCrossRhythm:
         assert seq.i1 == pytest.approx(printed["i1"], abs=0.0005)
         assert seq.i2 == pytest.approx(printed["i2"], abs=0.0005)
         assert seq.expected_total == pytest.approx(printed["expected_sum"], abs=0.05)
-        assert seq.kind == "cross"
 
     def test_netherlands_vs_rest_minus_pair(
         self, netherlands, scim_minus_brazil_netherlands, golden
