@@ -1,130 +1,27 @@
 """Citation rhythm analysis: observed-vs-expected citation ratios from
 publication-citation matrices, for comparing an actor with its collective
-or two actors with each other on equal citation-window footing."""
+or two actors with each other on equal citation-window footing.
+
+Each module's ``__all__`` is its public API. The package re-exports the
+library modules' lists; :mod:`citerhythm.chart` and :mod:`citerhythm.cli`
+load only when imported."""
 
 __version__ = "0.1.0"
 
-from .collective import (
-    Collective,
-    ComparisonResult,
-    Finding,
-    ValidationReport,
-    actor_vs_actor,
-    actor_vs_collective,
-    complement,
-    validate_collective,
-)
-from .errors import (
-    AlignmentError,
-    DataConsistencyError,
-    DomainError,
-    LayoutError,
-    ManifestError,
-    MatrixParseError,
-    RhythmError,
-    SubsetError,
-    UnknownActorError,
-    WindowError,
-    YearOutOfRangeError,
-)
-from .ingest import (
-    CollectiveManifest,
-    ManifestActor,
-    MatrixFile,
-    build_collective,
-    fixture_path,
-    load_manifest,
-    parse_manifest,
-    parse_matrix,
-    read_matrix,
-    read_matrix_file,
-    write_matrix,
-)
-from .oracle import (
-    CitationEvent,
-    CorpusSpec,
-    EventCorpus,
-    aggregate,
-    brute_force_rhythm,
-    corpus_from_matrix,
-    default_age_curve,
-    generate,
-    max_relative_difference,
-)
-from .pcmatrix import (
-    CkProfile,
-    PCMatrix,
-    add,
-    ck_profile,
-    subtract,
-)
-from .rhythm import (
-    RhythmPoint,
-    RhythmSequence,
-    WindowSeries,
-    cross_rhythm,
-    internal_rhythm,
-    sliding_windows,
-    summary_i2_lenient,
-)
+from . import collective, errors, ingest, oracle, pcmatrix, rhythm
+from .collective import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .ingest import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .pcmatrix import *  # noqa: F403
+from .rhythm import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    # matrices
-    "PCMatrix",
-    "CkProfile",
-    "ck_profile",
-    "add",
-    "subtract",
-    # rhythms
-    "RhythmPoint",
-    "RhythmSequence",
-    "WindowSeries",
-    "internal_rhythm",
-    "cross_rhythm",
-    "summary_i2_lenient",
-    "sliding_windows",
-    # collectives
-    "Collective",
-    "ComparisonResult",
-    "Finding",
-    "ValidationReport",
-    "complement",
-    "actor_vs_collective",
-    "actor_vs_actor",
-    "validate_collective",
-    # ingest
-    "MatrixFile",
-    "ManifestActor",
-    "CollectiveManifest",
-    "parse_matrix",
-    "write_matrix",
-    "read_matrix",
-    "read_matrix_file",
-    "parse_manifest",
-    "build_collective",
-    "load_manifest",
-    "fixture_path",
-    # oracle
-    "CitationEvent",
-    "EventCorpus",
-    "CorpusSpec",
-    "default_age_curve",
-    "aggregate",
-    "corpus_from_matrix",
-    "brute_force_rhythm",
-    "generate",
-    "max_relative_difference",
-    # errors
-    "RhythmError",
-    "AlignmentError",
-    "YearOutOfRangeError",
-    "WindowError",
-    "SubsetError",
-    "DataConsistencyError",
-    "DomainError",
-    "MatrixParseError",
-    "LayoutError",
-    "ManifestError",
-    "UnknownActorError",
+    *pcmatrix.__all__,
+    *rhythm.__all__,
+    *collective.__all__,
+    *ingest.__all__,
+    *oracle.__all__,
+    *errors.__all__,
 ]

@@ -44,7 +44,7 @@ def format_number(value: float, decimals: int) -> str:
     """Fixed-point rendering, ties rounded half away from zero; -0.0 prints
     as 0."""
     context = Context(prec=_FLOAT_INTEGER_DIGITS + decimals, rounding=ROUND_HALF_UP)
-    d = Decimal(repr(value + 0.0)).quantize(Decimal(1).scaleb(-decimals), context=context)
+    d = Decimal(repr(value + 0.0)).quantize(Decimal((0, (1,), -decimals)), context=context)
     return format(d, "f")
 
 
@@ -309,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "decimals", 0) < 0:
             raise ValueError("decimals must be >= 0")
+        if getattr(args, "trials", 0) < 0:
+            raise ValueError("trials must be >= 0")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -9,10 +9,11 @@ different baselines by construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 from .errors import AlignmentError, DomainError, UnknownActorError
 from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _sum_of, ck_profile, subtract
@@ -63,7 +64,8 @@ class Collective:
 
     Constituents need not cover the whole total: actors without a named
     matrix simply stay inside every complement. Use :func:`validate_collective`
-    for subset/partition/dominance diagnostics. Immutable once built.
+    for subset/partition/dominance diagnostics. Immutable once built: the
+    constituents are a read-only copy of the mapping passed in.
     Building one makes a single pass over every cell to decide whether
     comparisons can take the rest of the collective from per-matrix sums,
     in O(n), instead of building a complement matrix.
@@ -71,9 +73,12 @@ class Collective:
 
     label: str
     total: PCMatrix
-    constituents: dict[str, PCMatrix]
+    constituents: Mapping[str, PCMatrix]
 
     def __post_init__(self) -> None:
+        if not self.constituents:
+            raise ValueError("a collective needs at least one constituent")
+        object.__setattr__(self, "constituents", MappingProxyType(dict(self.constituents)))
         for actor_id, m in self.constituents.items():
             if m.first_year != self.total.first_year or m.n != self.total.n:
                 raise AlignmentError(
@@ -90,7 +95,7 @@ class Collective:
     def build(
         cls,
         label: str,
-        constituents: dict[str, PCMatrix],
+        constituents: Mapping[str, PCMatrix],
         total: PCMatrix | None = None,
     ) -> "Collective":
         """Build a collective, reconstructing the total as the sum of the
@@ -99,7 +104,7 @@ class Collective:
             raise ValueError("a collective needs at least one constituent")
         if total is None:
             total = _sum_of(constituents.values()).relabeled(label)
-        return cls(label=label, total=total, constituents=dict(constituents))
+        return cls(label=label, total=total, constituents=constituents)
 
     @property
     def actor_ids(self) -> tuple[str, ...]:

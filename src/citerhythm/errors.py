@@ -1,5 +1,19 @@
 """Exception types raised by this package."""
 
+__all__ = [
+    "RhythmError",
+    "AlignmentError",
+    "YearOutOfRangeError",
+    "WindowError",
+    "SubsetError",
+    "DataConsistencyError",
+    "DomainError",
+    "MatrixParseError",
+    "LayoutError",
+    "ManifestError",
+    "UnknownActorError",
+]
+
 
 class RhythmError(Exception):
     """Base class for all citerhythm errors."""

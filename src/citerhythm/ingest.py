@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .collective import Collective, validate_collective
-from .errors import DomainError, LayoutError, ManifestError, MatrixParseError
+from .errors import DomainError, LayoutError, ManifestError, MatrixParseError, RhythmError
 from .pcmatrix import PCMatrix
 
 __all__ = [
@@ -107,9 +107,20 @@ def _row_counts(
     return pub, cells
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """Rows of a CSV document, or :class:`LayoutError` at the line the
+    reader stopped on. Returning frees the reader's buffer, a copy of the
+    whole text, before the cells are converted."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise LayoutError(str(exc), reader.line_num) from None
+
+
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
     """Parse a matrix CSV document into a :class:`PCMatrix`."""
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(text)
     if not rows:
         raise LayoutError("empty document", 1)
     header = rows[0]
@@ -168,11 +179,24 @@ def write_matrix(m: PCMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decode(raw: bytes) -> str:
+    """``raw`` as UTF-8 text without a leading byte order mark. Bytes that
+    are not UTF-8 raise :class:`MatrixParseError` naming their line."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise MatrixParseError(
+            f"cannot decode byte {byte:#04x} as UTF-8: {exc.reason}", line
+        ) from None
+
+
 def read_matrix_file(path: str | Path, label: str | None = None) -> MatrixFile:
     """Read and parse a matrix CSV file; the label defaults to the file stem."""
     path = Path(path)
     raw = path.read_bytes()
-    matrix = parse_matrix(raw.decode("utf-8-sig"), label=label or path.stem)
+    matrix = parse_matrix(_decode(raw), label=label or path.stem)
     return MatrixFile(path=path, matrix=matrix, sha256=hashlib.sha256(raw).hexdigest())
 
 
@@ -192,9 +216,11 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = _decode(path.read_bytes())
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    except MatrixParseError as exc:
+        raise ManifestError(str(exc)) from None
     base = path.parent
 
     collective: dict[str, str] | None = None
@@ -261,12 +287,12 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
 
 
 def _read_referenced(path: Path, label: str) -> PCMatrix:
+    """The matrix at ``path``; any error reading or parsing it becomes a
+    :class:`ManifestError` that names the file."""
     try:
         return read_matrix_file(path, label=label).matrix
-    except FileNotFoundError:
-        raise ManifestError(f"referenced matrix file not found: {path}") from None
-    except OSError as exc:
-        raise ManifestError(f"cannot read {path}: {exc}") from exc
+    except (OSError, RhythmError) as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
 
 
 def build_collective(manifest: CollectiveManifest) -> Collective:

@@ -153,18 +153,6 @@ class PCMatrix:
         object.__setattr__(m, "label", label)
         return m
 
-    @classmethod
-    def zero(cls, first_year: int, n: int, label: str = "") -> "PCMatrix":
-        """All-zero matrix over ``n`` years starting at ``first_year``."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return cls(
-            first_year=first_year,
-            pubs=(0.0,) * n,
-            cites=tuple((0.0,) * (n - t) for t in range(n)),
-            label=label,
-        )
-
     @property
     def n(self) -> int:
         return len(self.pubs)

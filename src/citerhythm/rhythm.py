@@ -62,10 +62,6 @@ class RhythmSequence:
         return self.profile.source_label
 
     @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
     def years(self) -> tuple[int, ...]:
         return tuple(p.year for p in self.points)
 

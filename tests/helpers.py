@@ -1,4 +1,4 @@
-"""Shared test utilities: seeded random matrices and scaled copies."""
+"""Shared test utilities: seeded random and all-zero matrices, and scaled copies."""
 
 import random
 
@@ -27,6 +27,11 @@ def random_matrix(
             for t in range(n)
         )
     return PCMatrix(first_year=first_year, pubs=pubs, cites=cites, label=f"rand-{n}")
+
+
+def zero(first_year: int, n: int) -> PCMatrix:
+    """All-zero matrix over ``n`` years starting at ``first_year``."""
+    return PCMatrix(first_year, (0.0,) * n, tuple((0.0,) * (n - t) for t in range(n)))
 
 
 def scale_cites(m: PCMatrix, factor: float) -> PCMatrix:

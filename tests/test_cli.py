@@ -50,6 +50,11 @@ class TestFormatNumber:
     def test_half_away_from_zero(self, value, decimals, expected):
         assert format_number(value, decimals) == expected
 
+    @pytest.mark.parametrize("decimals", [1_000_027, 2_000_055])
+    def test_decimals_past_the_decimal_exponent_limits(self, decimals):
+        text = format_number(1.5, decimals)
+        assert text.startswith("1.5") and len(text.partition(".")[2]) == decimals
+
 
 class TestValidate:
     def test_ok_run(self, capsys):
@@ -382,6 +387,10 @@ class TestWindows:
 
 
 class TestOracleCheck:
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run(capsys, "oracle-check", manifest(), "--trials", "-1")
+        assert (code, out, err) == (1, "", "error: trials must be >= 0\n")
+
     def test_matrix_input(self, capsys):
         code, out, _ = run(
             capsys, "oracle-check", str(fixture_path("china.csv")), "--trials", "5"

@@ -25,6 +25,7 @@ from citerhythm import (
     validate_collective,
 )
 from citerhythm.collective import _sums_subtract_exactly
+from helpers import scale_cites, scale_pubs, zero
 
 
 def small(label="m", first_year=2000, pubs=(4.0, 2.0), cites=((3.0, 5.0), (2.0,))):
@@ -40,6 +41,27 @@ class TestBuild:
     def test_requires_constituents(self):
         with pytest.raises(ValueError):
             Collective.build("empty", {})
+        total = PCMatrix(2000, (1.0,), ((1.0,),), "T")
+        with pytest.raises(ValueError, match="^a collective needs at least one constituent$"):
+            Collective(label="C", total=total, constituents={})
+
+    def test_constituents_are_read_only(self, china):
+        c = load_manifest(fixture_path("scim.manifest"))
+        with pytest.raises(TypeError):
+            c.constituents["china"] = scale_pubs(scale_cites(china, 1.1), 1.1)
+        assert c.actor("china") == china
+        assert (
+            actor_vs_collective(c, "china").ratios
+            == cross_rhythm(china, complement(c, {"china"})).ratios
+        )
+
+    def test_copies_the_mapping_passed_in(self, china, scim_minus_china):
+        parts = {"china": china}
+        c = Collective(label="C", total=add(china, scim_minus_china), constituents=parts)
+        parts["china"] = scim_minus_china
+        parts["rest"] = scim_minus_china
+        assert c.actor_ids == ("china",)
+        assert c.actor("china") is china
 
     def test_rejects_misaligned_constituent(self, china):
         shifted = PCMatrix(first_year=2016, pubs=china.pubs, cites=china.cites)
@@ -65,7 +87,7 @@ class TestComplement:
     def test_whole_collective_leaves_zero(self):
         m = small()
         c = Collective.build("solo", {"all": m}, total=m)
-        assert complement(c, {"all"}) == PCMatrix.zero(m.first_year, m.n)
+        assert complement(c, {"all"}) == zero(m.first_year, m.n)
 
     def test_unknown_or_empty(self, scim):
         with pytest.raises(UnknownActorError):
@@ -462,7 +484,7 @@ class TestSumsMatchComplements:
             raise AssertionError("complement built")
 
         monkeypatch.setattr("citerhythm.collective.complement", refuse)
-        assert actor_vs_collective(scim, "china").n == scim.total.n
+        assert len(actor_vs_collective(scim, "china").points) == scim.total.n
         assert actor_vs_actor(scim, "brazil", "netherlands").baseline_label == (
             "SCIM \\ {brazil, netherlands}"
         )

@@ -3,13 +3,20 @@ or of a standard-library module, and the project declares no dependencies.
 A third-party import would add its load time to every CLI process. The CLI
 imports only public names from the package, so each rule it relies on lives
 behind one module's public interface. No module reads the environment, so a
-command's output depends on its arguments and input files alone."""
+command's output depends on its arguments and input files alone. Each
+module's ``__all__`` is the only list of its public names: the package
+re-exports those lists, and ``chart`` does not load with it."""
 
 import ast
+import importlib
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import citerhythm
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "citerhythm").rglob("*.py"))
@@ -37,6 +44,40 @@ def test_imports_are_relative_or_stdlib(path):
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+API_MODULES = ("pcmatrix", "rhythm", "collective", "ingest", "oracle", "errors")
+
+
+def test_package_api_is_the_modules_lists():
+    lists = [importlib.import_module(f"citerhythm.{name}").__all__ for name in API_MODULES]
+    expected = ["__version__", *(n for names in lists for n in names)]
+    assert citerhythm.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+@pytest.mark.parametrize("name", [*API_MODULES, "chart"])
+def test_module_api_is_defined_in_that_module(name):
+    module = importlib.import_module(f"citerhythm.{name}")
+    objects = [getattr(module, n) for n in module.__all__]
+    foreign = [
+        f"{obj.__name__} from {obj.__module__}"
+        for obj in objects
+        if isinstance(obj, (type, types.FunctionType)) and obj.__module__ != module.__name__
+    ]
+    assert foreign == []
+
+
+def test_package_import_leaves_chart_unloaded():
+    probe = "import sys, citerhythm; print('citerhythm.chart' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["False"]
 
 
 def test_cli_imports_only_public_names():

@@ -24,7 +24,7 @@ from citerhythm import (
     read_matrix_file,
     write_matrix,
 )
-from helpers import random_matrix
+from helpers import random_matrix, zero
 
 FIXTURES = [
     "china.csv",
@@ -80,6 +80,20 @@ class TestParse:
         text = "year,pubs,2020,2021\n2020,1,2\n2021,1,,3\n"
         with pytest.raises(LayoutError):
             parse_matrix(text)
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("2020,1," + "1" * 131_073 + "\n", 2, "field larger than field limit (131072)"),
+            ("2020,1\r,2\n", 2, "new-line character seen in unquoted field"),
+        ],
+        ids=["field-limit", "bare-cr"],
+    )
+    def test_csv_reader_errors_positioned(self, body, line, message):
+        with pytest.raises(LayoutError) as err:
+            parse_matrix("year,pubs,2020\n" + body)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: {message}")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "1e999", "NaN", "Infinity"])
     def test_non_finite_cell_position_reported(self, token):
@@ -199,7 +213,7 @@ class TestWrite:
         assert write_matrix(m).encode("utf-8") == raw
 
     def test_zero_matrix_layout(self):
-        text = write_matrix(PCMatrix.zero(2000, 2))
+        text = write_matrix(zero(2000, 2))
         assert text == "year,pubs,2000,2001\n2000,0,0,0\n2001,0,,0\n"
 
     def test_fractional_counts_roundtrip(self):
@@ -244,6 +258,14 @@ class TestMatrixFile:
         assert mf.matrix == china
         assert mf.matrix.label == "china"
         assert mf.sha256 == hashlib.sha256(raw).hexdigest()
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfyear,pubs,2020\n2020,1,\xff\n")
+        with pytest.raises(MatrixParseError) as err:
+            read_matrix_file(path)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: cannot decode byte 0xff as UTF-8: invalid start byte"
 
 
 class TestFixtureCorpus:
@@ -300,6 +322,23 @@ class TestManifest:
         p = tmp_path / name
         p.write_text(body, encoding="utf-8")
         return p
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.manifest"
+        p.write_bytes(b"[collective]\nlabel = \xff\n")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value) == "line 2: cannot decode byte 0xff as UTF-8: invalid start byte"
+
+    def test_error_in_referenced_matrix_names_the_file(self, tmp_path):
+        (tmp_path / "a.csv").write_text("year,pubs,2020\n2020,1\x00,1\n")
+        p = self._write(
+            tmp_path, "[collective]\nlabel = X\n\n[actor]\nid = a\nlabel = A\npath = a.csv\n"
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(p)
+        assert str(err.value) == f"{tmp_path / 'a.csv'}: line 2, column 2: not a number: '1\\x00'"
+        assert isinstance(err.value.__cause__, MatrixParseError)
 
     def test_missing_matrix_file_names_path(self, tmp_path):
         p = self._write(

@@ -29,6 +29,7 @@ from citerhythm import (
     validate_collective,
 )
 from citerhythm.oracle import _poisson, rest_corpus
+from helpers import zero
 
 
 def spec_for(n, magnet_share=0.0, lo=1, hi=8):
@@ -231,7 +232,7 @@ class TestComparisonsMatchBruteForce:
         with pytest.raises(DomainError):
             rest_corpus(china, [scim_total])
         with pytest.raises(AlignmentError):
-            rest_corpus(china, [PCMatrix.zero(2015, 9)])
+            rest_corpus(china, [zero(2015, 9)])
 
 
 class TestGenerate:
@@ -299,6 +300,5 @@ class TestComparator:
 
     def test_presence_mismatch_is_infinite(self, china):
         a = internal_rhythm(china)
-        zero = PCMatrix.zero(china.first_year, china.n)
-        b = internal_rhythm(zero)
+        b = internal_rhythm(zero(china.first_year, china.n))
         assert math.isinf(max_relative_difference(a, b))

@@ -16,7 +16,7 @@ from citerhythm import (
     ck_profile,
     subtract,
 )
-from helpers import random_matrix, scale_cites, scale_pubs
+from helpers import random_matrix, scale_cites, scale_pubs, zero
 
 
 @st.composite
@@ -140,7 +140,7 @@ class TestObserved:
         assert list(brazil.sums.rows) == golden["actors"]["brazil"]["observed"]
 
     def test_zero_matrix(self):
-        z = PCMatrix.zero(2000, 4)
+        z = zero(2000, 4)
         assert z.sums.rows == (0.0, 0.0, 0.0, 0.0)
         assert z.sums.rows[2] == 0.0
 
@@ -243,7 +243,7 @@ class TestOverflowingSums:
             .window(2000, 2),
             subtract(
                 PCMatrix(2000, (1.0, 1.0), ((1e308, 1e308), (0.0,)), "s"),
-                PCMatrix.zero(2000, 2),
+                zero(2000, 2),
             ),
         ],
     )
@@ -258,7 +258,7 @@ class TestAddSubtract:
         assert total.pubs[0] == 349
 
     def test_additive_identity(self, china):
-        z = PCMatrix.zero(china.first_year, china.n)
+        z = zero(china.first_year, china.n)
         assert add(china, z) == china
         assert subtract(china, z) == china
 
@@ -274,7 +274,7 @@ class TestAddSubtract:
         assert subtract(total, china) == scim_minus_china
 
     def test_subtract_self_is_zero(self, china):
-        assert subtract(china, china) == PCMatrix.zero(china.first_year, china.n)
+        assert subtract(china, china) == zero(china.first_year, china.n)
 
     def test_subtract_rejects_non_subset(self):
         a = PCMatrix(first_year=2000, pubs=(2.0, 2.0), cites=((1.0, 1.0), (1.0,)))

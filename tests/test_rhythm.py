@@ -224,7 +224,7 @@ class TestSlidingWindows:
         series = sliding_windows(china, 5)
         assert [start for start, _ in series.entries] == list(range(2015, 2021))
         for _, seq in series.entries:
-            assert seq.n == 5
+            assert len(seq.points) == 5
             assert seq.i1 == pytest.approx(1.0, rel=1e-9)
 
     def test_toy_hand_computation(self):
