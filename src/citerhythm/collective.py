@@ -4,18 +4,22 @@ A collective is a total p-c matrix plus named, disjoint constituent
 matrices. Comparisons never judge an actor against data that includes the
 actor itself: the expectation source is always the complement (total minus
 the compared actors), so a one-vs-rest and a pairwise comparison use
-different baselines by construction.
+different baselines by construction. The complement is the true rest only
+if no paper counts in two constituents. Construction checks what the
+matrices show of this, that the constituents fit inside the total
+together; overlap that still fits goes unseen.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
-from .errors import AlignmentError, DomainError, UnknownActorError
+from .errors import AlignmentError, SubsetError, UnknownActorError
 from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _sum_of, ck_profile, subtract
 from .rhythm import RhythmSequence, cross_rhythm
 
@@ -44,31 +48,26 @@ def _cells(m: PCMatrix) -> Iterable[float]:
 
 def _sums_subtract_exactly(c: "Collective") -> bool:
     """Whether the total's sums minus any one or two constituents' sums
-    equal the sums of their complement exactly. That holds when every cell
-    holds an integer, the total's cells add up to less than 2**40 (so no
-    sum involved is rounded, and two counts ``subtract`` calls the same
-    are equal) and every constituent and every pair of constituents fits
-    inside the total cell by cell (so no complement fails); the largest
-    and second-largest value of each cell stand for all pairs."""
-    parts = [_cells(m) for m in c.constituents.values()]
-    for x, *column in zip(_cells(c.total), *parts):
-        second, first = sorted((0.0, *column))[-2:]
-        if first + second > x or not all(v.is_integer() for v in (x, *column)):
-            return False
-    return sum(_cells(c.total)) < 1 / _REL_TOL
+    equal the sums of their complement exactly. As the constituents fit
+    inside the total, that holds when every cell is an integer and the
+    total's cells add up to less than 2**40: no sum involved is rounded,
+    and ``subtract`` calls two counts the same only when they are equal."""
+    cells = chain(_cells(c.total), *map(_cells, c.constituents.values()))
+    return all(map(float.is_integer, cells)) and sum(_cells(c.total)) < 1 / _REL_TOL
 
 
 @dataclass(frozen=True)
 class Collective:
-    """A named total matrix with named constituent actors.
+    """A named total matrix with named, disjoint constituent actors.
 
     Constituents need not cover the whole total: actors without a named
-    matrix simply stay inside every complement. Use :func:`validate_collective`
-    for subset/partition/dominance diagnostics. Immutable once built: the
-    constituents are a read-only copy of the mapping passed in.
-    Building one makes a single pass over every cell to decide whether
-    comparisons can take the rest of the collective from per-matrix sums,
-    in O(n), instead of building a complement matrix.
+    matrix simply stay inside every complement. Building one adds them up
+    cell by cell, once, and raises :class:`SubsetError` at the first cell
+    where that sum passes the total (beyond the tolerance of fractional
+    counts) or the largest float; a total of None stands for the sum. It
+    also decides whether comparisons can take the rest from per-matrix
+    sums, in O(n). Immutable: the constituents are a read-only copy of the
+    mapping passed in.
     """
 
     label: str
@@ -79,12 +78,21 @@ class Collective:
         if not self.constituents:
             raise ValueError("a collective needs at least one constituent")
         object.__setattr__(self, "constituents", MappingProxyType(dict(self.constituents)))
+        window = next(iter(self.constituents.values())) if self.total is None else self.total
         for actor_id, m in self.constituents.items():
-            if m.first_year != self.total.first_year or m.n != self.total.n:
+            if m.first_year != window.first_year or m.n != window.n:
                 raise AlignmentError(
                     f"constituent {actor_id!r} covers {m.first_year}-{m.last_year}, "
-                    f"total covers {self.total.first_year}-{self.total.last_year}"
+                    f"{self.label} covers {window.first_year}-{window.last_year}"
                 )
+        parts = _sum_of(self.constituents.values())
+        if not math.isfinite(max(_cells(parts))):
+            raise SubsetError(f"{self.label}: constituents sum past the largest float")
+        if self.total is None:
+            object.__setattr__(self, "total", parts.relabeled(self.label))
+        excess = _first_excess(self.total, parts)
+        if excess is not None:
+            raise SubsetError(f"{self.label}: constituents sum past the total at {excess}")
         self._sums_exact  # the pass runs at build, outside any comparison
 
     @cached_property
@@ -98,12 +106,8 @@ class Collective:
         constituents: Mapping[str, PCMatrix],
         total: PCMatrix | None = None,
     ) -> "Collective":
-        """Build a collective, reconstructing the total as the sum of the
-        constituents when no explicit total is given."""
-        if not constituents:
-            raise ValueError("a collective needs at least one constituent")
-        if total is None:
-            total = _sum_of(constituents.values()).relabeled(label)
+        """Build a collective, taking the constituents' sum as the total
+        when no explicit total is given."""
         return cls(label=label, total=total, constituents=constituents)
 
     @property
@@ -137,7 +141,7 @@ class ComparisonResult:
 @dataclass(frozen=True)
 class Finding:
     severity: str  # "error" | "warning" | "info"
-    code: str  # "alignment" | "subset" | "partition" | "dominance" | "smallness"
+    code: str  # "alignment" | "partition" | "dominance" | "smallness"
     message: str
 
 
@@ -217,31 +221,15 @@ def actor_vs_actor(c: Collective, u: str, v: str) -> ComparisonResult:
     )
 
 
-def _partition_residual(c: Collective) -> str | None:
-    """The first cell where the constituents' sum and the total differ
-    beyond the tolerance of ``_first_excess``; None when they agree."""
-    try:
-        parts = _sum_of(c.constituents.values())
-    except DomainError:  # finite counts can add up past the largest float
-        return "constituents sum past the largest float"
-    excess = _first_excess(c.total, parts)
-    if excess is not None:
-        return f"constituents sum past the total at {excess}"
-    excess = _first_excess(parts, c.total)
-    if excess is not None:
-        return f"total exceeds the constituents' sum at {excess}"
-    return None
-
-
 def validate_collective(c: Collective, assert_partition: bool = False) -> ValidationReport:
     """Diagnostic report for a collective.
 
-    Errors: a constituent exceeding the total somewhere, and (with
-    ``assert_partition``) any residual between the total and the constituent
-    sum. Warnings: a constituent holding more than
-    ``DEFAULT_DOMINANCE_SHARE`` of all publications, or a complement with
-    fewer than ``DEFAULT_MIN_COMPLEMENT_PUBS``, so that comparing against
-    the rest is meaningless. Warnings never fail a load.
+    Errors: with ``assert_partition``, a cell where the total exceeds the
+    constituents' sum beyond the tolerance of ``_first_excess`` (the other
+    way round, construction raises). Warnings: a constituent holding more
+    than ``DEFAULT_DOMINANCE_SHARE`` of all publications, or a complement
+    with fewer than ``DEFAULT_MIN_COMPLEMENT_PUBS``, so that comparing
+    against the rest is meaningless. Warnings never fail a load.
     """
     findings: list[Finding] = []
     total_pubs = c.total.total_pubs
@@ -255,20 +243,11 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
         )
     )
 
-    for actor_id, m in c.constituents.items():
-        violation = _first_excess(c.total, m)
-        if violation is not None:
-            findings.append(
-                Finding(
-                    "error",
-                    "subset",
-                    f"constituent {actor_id!r} exceeds the total: {violation}",
-                )
-            )
-
-    residual = _partition_residual(c) if assert_partition else None
-    if residual is not None:
-        findings.append(Finding("error", "partition", f"partition residual: {residual}"))
+    if assert_partition:
+        residual = _first_excess(_sum_of(c.constituents.values()), c.total)
+        if residual is not None:
+            message = f"partition residual: total exceeds the constituents' sum at {residual}"
+            findings.append(Finding("error", "partition", message))
 
     for actor_id, m in c.constituents.items():
         actor_pubs = m.total_pubs

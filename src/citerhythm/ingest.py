@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,6 +108,15 @@ def _row_counts(
     return pub, cells
 
 
+def _check_line_ends(text: str) -> None:
+    """:class:`LayoutError` at the first CR that no LF follows: in matrix
+    files and manifests alike, a line ends in LF or CRLF."""
+    match = re.search(r"\r(?!\n)", text) if "\r" in text else None
+    if match is not None:
+        line = text.count("\n", 0, match.start()) + 1
+        raise LayoutError("carriage return without line feed; lines must end in LF or CRLF", line)
+
+
 def _csv_rows(text: str) -> list[list[str]]:
     """Rows of a CSV document, or :class:`LayoutError` at the line the
     reader stopped on. Returning frees the reader's buffer, a copy of the
@@ -120,6 +130,7 @@ def _csv_rows(text: str) -> list[list[str]]:
 
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
     """Parse a matrix CSV document into a :class:`PCMatrix`."""
+    _check_line_ends(text)
     rows = _csv_rows(text)
     if not rows:
         raise LayoutError("empty document", 1)
@@ -211,12 +222,13 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     ``label``, optional ``total``, optional ``assert_partition``) followed
     by one ``[actor]`` section per constituent (keys ``id``, ``label``,
     ``path``). Any other key, or a key given twice in one section, is an
-    error. ``#`` and ``;`` start comments; matrix paths are resolved
-    relative to the manifest file.
+    error. Lines end in LF or CRLF. ``#`` and ``;`` start comments; matrix
+    paths are resolved relative to the manifest file.
     """
     path = Path(path)
     try:
         text = _decode(path.read_bytes())
+        _check_line_ends(text)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except MatrixParseError as exc:
@@ -227,7 +239,8 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     actors: list[dict[str, str]] = []
     current: dict[str, str] | None = None
     keys: tuple[str, ...] = ()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only LF ends a line, so U+2028, U+0085 and form feeds stay in values.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -296,8 +309,9 @@ def _read_referenced(path: Path, label: str) -> PCMatrix:
 
 
 def build_collective(manifest: CollectiveManifest) -> Collective:
-    """Load every referenced matrix and assemble the collective (without
-    running validation)."""
+    """Load every referenced matrix and assemble the collective without
+    :func:`validate_collective`. The constituents must still share the total's
+    window (:class:`AlignmentError`) and fit inside it (:class:`SubsetError`)."""
     constituents = {
         a.actor_id: _read_referenced(a.path, a.label) for a in manifest.actors
     }

@@ -13,8 +13,8 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import accumulate, zip_longest
+from functools import cached_property
+from itertools import accumulate, chain, islice, zip_longest
 
 from .errors import (
     AlignmentError,
@@ -257,19 +257,25 @@ def _check_aligned(a: PCMatrix, b: PCMatrix) -> None:
 def add(a: PCMatrix, b: PCMatrix) -> PCMatrix:
     """Elementwise sum of two matrices over the same window."""
     _check_aligned(a, b)
-    return PCMatrix(
-        first_year=a.first_year,
-        pubs=tuple(x + y for x, y in zip(a.pubs, b.pubs)),
-        cites=tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.cites, b.cites)
-        ),
-        label=f"{a.label}+{b.label}" if a.label and b.label else (a.label or b.label),
-    )
+    s = _sum_of((a, b))
+    # The constructor checks the cells: two finite counts can add up to inf.
+    return PCMatrix(s.first_year, s.pubs, s.cites, s.label)
 
 
 def _sum_of(matrices: Iterable[PCMatrix]) -> PCMatrix:
-    """Cellwise sum of one or more aligned matrices, added in the given order."""
-    return reduce(add, matrices)
+    """Cellwise sum of one or more matrices, added left to right in the
+    given order, labelled ``A+B+...``. It checks nothing: the caller makes
+    sure the windows agree and that no cell came out infinite."""
+    first, *rest = matrices
+    # Flat lists: row tuples dropped per matrix would fill tuple free lists.
+    cells = list(chain(first.pubs, *first.cites))
+    for m in rest:
+        cells = list(map(operator.add, cells, chain(m.pubs, *m.cites)))
+    n, flat = first.n, iter(cells)
+    pubs = tuple(islice(flat, n))
+    cites = tuple(tuple(islice(flat, n - t)) for t in range(n))
+    label = "+".join(m.label for m in (first, *rest) if m.label)
+    return PCMatrix._of(first.first_year, pubs, cites, label)
 
 
 # One count exceeds another only by more than this share of the larger.

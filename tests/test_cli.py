@@ -89,13 +89,45 @@ class TestValidate:
             "[collective]\nlabel = X\ntotal = total.csv\n\n"
             "[actor]\nid = big\nlabel = Big\npath = big.csv\n"
         )
-        code, out, _ = run(capsys, "validate", str(p))
-        assert code == 1
-        assert "'big'" in out
-        assert "(2015, 2016)" in out
+        x = brazil.cites[0][1]
+        assert run(capsys, "validate", str(p)) == (
+            1,
+            "",
+            f"error: X: constituents sum past the total at citations (2015, 2016): "
+            f"{x + 1} > {x}\n",
+        )
+
+    def test_overlapping_constituents_rejected(self, capsys, tmp_path):
+        # u and w share 2 of their 4 papers each: together with v they pass
+        # the total's 10 publications.
+        cells = {"total": (10, 20), "u": (4, 10), "w": (4, 10), "v": (4, 6)}
+        for name, (pubs, cites) in cells.items():
+            (tmp_path / f"{name}.csv").write_text(f"year,pubs,2000\n2000,{pubs},{cites}\n")
+        p = tmp_path / "o.manifest"
+        p.write_text(
+            "[collective]\nlabel = T\ntotal = total.csv\n"
+            + "".join(f"\n[actor]\nid = {a}\nlabel = {a}\npath = {a}.csv\n" for a in "uwv")
+        )
+        err = "error: T: constituents sum past the total at publications of year 2000: "
+        err += "12.0 > 10.0\n"
+        for argv in (
+            ["validate", str(p)],
+            ["external", str(p), "--actor", "u"],
+            ["compare", str(p), "--a", "u", "--b", "w"],
+        ):
+            assert run(capsys, *argv) == (1, "", err)
 
 
 class TestInternal:
+    def test_cr_line_endings_rejected(self, capsys, tmp_path):
+        p = tmp_path / "cr.csv"
+        p.write_bytes(b"year,pubs,2020\r2020,1,1\r")
+        assert run(capsys, "internal", str(p)) == (
+            1,
+            "",
+            "error: line 1: carriage return without line feed; lines must end in LF or CRLF\n",
+        )
+
     def test_china_text_table(self, capsys):
         code, out, _ = run(capsys, "internal", str(fixture_path("china.csv")))
         assert code == 0
@@ -414,14 +446,13 @@ class TestOracleCheck:
 
     def test_rounding_excess_of_fractional_shares(self, capsys, tmp_path):
         # Actor c's cells, 0.1 + 0.2, round past the total's 0.3.
-        for name, x in (("total", 0.3), ("a", 0.1), ("c", 0.1 + 0.2)):
+        for name, x in (("total", 0.3), ("c", 0.1 + 0.2)):
             (tmp_path / f"{name}.csv").write_text(
                 f"year,pubs,2020,2021\n2020,{x!r},{x!r},{x!r}\n2021,{x!r},,{x!r}\n"
             )
         p = tmp_path / "f.manifest"
         p.write_text(
             "[collective]\nlabel = F\ntotal = total.csv\n\n"
-            "[actor]\nid = a\nlabel = A\npath = a.csv\n\n"
             "[actor]\nid = c\nlabel = C\npath = c.csv\n"
         )
         assert run(capsys, "validate", str(p))[0] == 0

@@ -9,6 +9,7 @@ from citerhythm import (
     Collective,
     ComparisonResult,
     DataConsistencyError,
+    DomainError,
     PCMatrix,
     RhythmError,
     SubsetError,
@@ -21,6 +22,7 @@ from citerhythm import (
     cross_rhythm,
     fixture_path,
     load_manifest,
+    rest_corpus,
     subtract,
     validate_collective,
 )
@@ -238,6 +240,7 @@ class TestValidate:
         assert "'big'" in smallness[0].message
 
     def test_subset_violation_names_cell(self, scim_minus_china, china):
+        # Construction rejects a collective whose constituents do not fit.
         inflated = PCMatrix(
             first_year=china.first_year,
             pubs=china.pubs,
@@ -247,24 +250,20 @@ class TestValidate:
             ),
             label="China",
         )
-        c = Collective(
-            label="broken",
-            total=add(china, scim_minus_china),
-            constituents={"china": inflated},
+        total = add(china, scim_minus_china)
+        with pytest.raises(SubsetError) as err:
+            Collective(label="broken", total=total, constituents={"china": inflated})
+        x, y = total.cites[0][1], inflated.cites[0][1]
+        assert str(err.value) == (
+            f"broken: constituents sum past the total at citations (2015, 2016): {y} > {x}"
         )
-        report = validate_collective(c)
-        assert not report.ok
-        [finding] = report.errors
-        assert finding.code == "subset"
-        assert "'china'" in finding.message
-        assert "(2015, 2016)" in finding.message
 
     def test_subset_violation_names_publication_year(self):
         total = small("T", pubs=(4.0, 2.0))
-        c = Collective(label="C", total=total, constituents={"x": small(pubs=(4.0, 3.0))})
-        [finding] = validate_collective(c).errors
-        assert finding.message == (
-            "constituent 'x' exceeds the total: publications of year 2001: 3.0 > 2.0"
+        with pytest.raises(SubsetError) as err:
+            Collective(label="C", total=total, constituents={"x": small(pubs=(4.0, 3.0))})
+        assert str(err.value) == (
+            "C: constituents sum past the total at publications of year 2001: 3.0 > 2.0"
         )
 
     def test_partition_residual(self, china, scim_minus_china, brazil):
@@ -286,9 +285,12 @@ class TestValidate:
         # Each constituent fits inside the total, but their sum is infinite.
         part = small(pubs=(1e308, 1.0), cites=((0.0, 0.0), (0.0,)))
         total = small("T", pubs=(1.5e308, 2.0))
-        c = Collective(label="C", total=total, constituents={"a": part, "b": part})
-        [finding] = validate_collective(c, assert_partition=True).errors
-        assert finding.message == "partition residual: constituents sum past the largest float"
+        for build in (
+            lambda: Collective(label="C", total=total, constituents={"a": part, "b": part}),
+            lambda: Collective.build("C", {"a": part, "b": part}),
+        ):
+            with pytest.raises(SubsetError, match="^C: constituents sum past the largest float$"):
+                build()
 
     def test_rounding_excess_leaves_no_negative_rest(self):
         # 0.1 + 0.2 rounds to 0.30000000000000004, past the total's 0.3:
@@ -312,27 +314,62 @@ class TestValidate:
 class TestContainment:
     """Each constituent fits inside the total, but their pair does not."""
 
-    def collective(self):
-        total = small("T", pubs=(10.0, 10.0), cites=((9.0, 9.0), (9.0,)))
-        a = small("A", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,)))
-        b = small("B", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,)))
-        return Collective(label="C", total=total, constituents={"a": a, "b": b})
+    total = small("T", pubs=(10.0, 10.0), cites=((9.0, 9.0), (9.0,)))
+    parts = {
+        "a": small("A", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,))),
+        "b": small("B", pubs=(6.0, 1.0), cites=((1.0, 1.0), (1.0,))),
+    }
 
     def test_each_constituent_validates(self):
-        assert validate_collective(self.collective()).ok
-
-    def test_actor_vs_collective_succeeds(self):
-        c = self.collective()
-        seq = actor_vs_collective(c, "a")
-        assert seq == cross_rhythm(c.actor("a"), complement(c, {"a"}))
-        assert seq.expectation_label == "C \\ {a}"
+        for actor_id, m in self.parts.items():
+            c = Collective(label="C", total=self.total, constituents={actor_id: m})
+            assert validate_collective(c).ok
 
     def test_pair_raises_the_subtraction_error(self):
+        # The constituents are rejected where the collective is built, with
+        # the error subtracting their sum from the total would raise.
         with pytest.raises(SubsetError) as err:
-            actor_vs_actor(self.collective(), "b", "a")
+            Collective(label="C", total=self.total, constituents=self.parts)
         assert str(err.value) == (
-            "publications of year 2000: 12.0 > 10.0; A+B is not contained in T"
+            "C: constituents sum past the total at publications of year 2000: 12.0 > 10.0"
         )
+
+
+def one_year(label, pubs, cites):
+    return PCMatrix(2000, (pubs,), ((cites,),), label)
+
+
+class TestOverlappingConstituents:
+    """Constituents that share papers: whole counting of co-authored papers."""
+
+    def test_overlap_past_the_total_is_rejected(self):
+        # u and w share 2 papers, so the 12 publications of u, v and w are
+        # 10 papers. Only actor-vs-rest would be right on such data: ``u``
+        # vs ``w`` would subtract the shared papers twice and compare against
+        # 2 papers without citations (Ck 0) instead of v (Ck 1.5).
+        parts = {
+            "u": one_year("U", 4.0, 10.0),
+            "w": one_year("W", 4.0, 10.0),
+            "v": one_year("V", 4.0, 6.0),
+        }
+        total = one_year("T", 10.0, 20.0)
+        message = "^T: constituents sum past the total at publications of year 2000: 12.0 > 10.0$"
+        with pytest.raises(SubsetError, match=message):
+            Collective(label="T", total=total, constituents=parts)
+        with pytest.raises(SubsetError, match=message):
+            Collective.build("T", parts, total=total)
+
+    def test_overlap_that_fits_goes_unseen(self):
+        # A known limit: u and v share one paper with 5 citations, but their
+        # sum still fits inside the total, so nothing in the matrices shows
+        # the overlap. The pair's baseline subtracts that paper twice: Ck
+        # 46/21 where the true rest (22 papers, 51 citations) has 51/22.
+        # Detecting such overlap must change this test deliberately.
+        parts = {"u": one_year("U", 2.0, 7.0), "v": one_year("V", 2.0, 7.0)}
+        c = Collective(label="T", total=one_year("T", 25.0, 60.0), constituents=parts)
+        assert validate_collective(c).ok
+        result = actor_vs_actor(c, "u", "v")
+        assert result.sequences["u"].profile.values == (46 / 21,)
 
 
 def uniform(label, value):
@@ -365,12 +402,8 @@ class TestFractionalCounts:
     @pytest.mark.parametrize(
         "total,a,b,residual",
         [
-            (0.29, 0.1, 0.2, "constituents sum past the total at publications of "
-             "year 2000: 0.30000000000000004 > 0.29"),
             (0.31, 0.1, 0.2, "total exceeds the constituents' sum at publications "
              "of year 2000: 0.31 > 0.30000000000000004"),
-            (2.0**39, 2.0**38, 2.0**38 + 1, "constituents sum past the total at "
-             "publications of year 2000: 549755813889.0 > 549755813888.0"),
             (2.0**39 + 1, 2.0**38, 2.0**38, "total exceeds the constituents' sum at "
              "publications of year 2000: 549755813889.0 > 549755813888.0"),
         ],
@@ -383,8 +416,12 @@ class TestFractionalCounts:
 
     @pytest.mark.parametrize("total,a,b", [(0.29, 0.1, 0.2), (2.0**39, 2.0**38, 2.0**38 + 1)])
     def test_pair_beyond_the_tolerance_raises(self, total, a, b):
-        with pytest.raises(SubsetError, match="A\\+B is not contained in T$"):
-            actor_vs_actor(self.collective(total, a, b), "a", "b")
+        # A total exceeded beyond the tolerance rejects the collective.
+        with pytest.raises(SubsetError) as err:
+            self.collective(total, a, b)
+        assert str(err.value) == (
+            f"C: constituents sum past the total at publications of year 2000: {a + b} > {total}"
+        )
 
     def test_pair_holding_the_whole_collective(self):
         # The total's citations exceed a + b = 0.30000000000000004 by one
@@ -421,7 +458,9 @@ FRACTIONS = (0.0, 2.0**-53, 0.1, 1 / 3, 0.5, 1.0, 2.5)
 def collectives(draw, fractional=False):
     """K = 2..5 actors plus an unnamed remainder over n = 1..12 years,
     zero-publication years included. The total is their cellwise sum,
-    sometimes lowered so that it no longer contains every actor or pair."""
+    sometimes lowered so that it may no longer contain the actors' sum.
+    Such a total must be rejected exactly when the oracle's rest of all
+    actors is negative somewhere; the strategy then gives None."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(1, 12))
     value = st.sampled_from(FRACTIONS) if fractional else st.integers(0, 6)
@@ -443,6 +482,12 @@ def collectives(draw, fractional=False):
             tuple(tuple(map(min, d, t)) for d, t in zip(deficit.cites, total.cites)),
         )
         total = subtract(total, clipped)
+    try:
+        rest_corpus(total, list(actors.values()))
+    except DomainError:
+        with pytest.raises(SubsetError):
+            Collective(label="Z", total=total.relabeled("Z"), constituents=actors)
+        return None
     return Collective(label="Z", total=total.relabeled("Z"), constituents=actors)
 
 
@@ -472,12 +517,14 @@ class TestSumsMatchComplements:
     @settings(deadline=None)
     @given(collectives())
     def test_integer_collectives(self, c):
-        assert_matches_complements(c)
+        if c is not None:
+            assert_matches_complements(c)
 
     @settings(deadline=None)
     @given(collectives(fractional=True))
     def test_fractional_collectives(self, c):
-        assert_matches_complements(c)
+        if c is not None:
+            assert_matches_complements(c)
 
     def test_integer_collective_builds_no_complement(self, monkeypatch, scim):
         def refuse(*args):

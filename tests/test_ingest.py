@@ -15,6 +15,7 @@ from citerhythm import (
     MatrixParseError,
     PCMatrix,
     RhythmError,
+    SubsetError,
     add,
     build_collective,
     fixture_path,
@@ -22,6 +23,7 @@ from citerhythm import (
     parse_manifest,
     parse_matrix,
     read_matrix_file,
+    validate_collective,
     write_matrix,
 )
 from helpers import random_matrix, zero
@@ -85,7 +87,7 @@ class TestParse:
         "body,line,message",
         [
             ("2020,1," + "1" * 131_073 + "\n", 2, "field larger than field limit (131072)"),
-            ("2020,1\r,2\n", 2, "new-line character seen in unquoted field"),
+            ("2020,1\r,2\n", 2, "carriage return without line feed"),
         ],
         ids=["field-limit", "bare-cr"],
     )
@@ -94,6 +96,16 @@ class TestParse:
             parse_matrix("year,pubs,2020\n" + body)
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}: {message}")
+
+    def test_line_endings(self):
+        text = "year,pubs,2020,2021\n2020,1,2,3\n2021,4,,5\n"
+        assert parse_matrix(text.replace("\n", "\r\n")) == parse_matrix(text)
+        with pytest.raises(LayoutError) as err:
+            parse_matrix("year,pubs,2020\r2020,1,1\r")
+        assert err.value.line == 1
+        assert str(err.value) == (
+            "line 1: carriage return without line feed; lines must end in LF or CRLF"
+        )
 
     @pytest.mark.parametrize("token", ["nan", "inf", "1e999", "NaN", "Infinity"])
     def test_non_finite_cell_position_reported(self, token):
@@ -330,6 +342,28 @@ class TestManifest:
             parse_manifest(p)
         assert str(err.value) == "line 2: cannot decode byte 0xff as UTF-8: invalid start byte"
 
+    def test_only_lf_ends_a_line(self, tmp_path):
+        # U+2028, U+0085 and form feeds stay inside values, and line numbers
+        # count LF as the decode error does.
+        body = (
+            "[collective]\r\nlabel = S\u2028CIM\n\n"
+            "[actor]\nid = a\x85b\nlabel = A\x0cB\npath = a.csv\n"
+        )
+        man = parse_manifest(self._write(tmp_path, body))
+        assert man.label == "S\u2028CIM"
+        assert (man.actors[0].actor_id, man.actors[0].label) == ("a\x85b", "A\x0cB")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(self._write(tmp_path, body + "bogus\n"))
+        assert str(err.value) == "line 8: expected key = value, got 'bogus'"
+
+    def test_cr_without_lf_rejected(self, tmp_path):
+        p = self._write(tmp_path, "[collective]\r\nlabel = X\r[actor]\r\n")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value) == (
+            "line 2: carriage return without line feed; lines must end in LF or CRLF"
+        )
+
     def test_error_in_referenced_matrix_names_the_file(self, tmp_path):
         (tmp_path / "a.csv").write_text("year,pubs,2020\n2020,1\x00,1\n")
         p = self._write(
@@ -362,6 +396,7 @@ class TestManifest:
             load_manifest(p)
 
     def test_subset_violation_fails_load(self, tmp_path, china, brazil):
+        # Assembling the collective already rejects it, validated or not.
         (tmp_path / "total.csv").write_text(write_matrix(brazil))
         (tmp_path / "big.csv").write_text(write_matrix(china))
         p = self._write(
@@ -369,9 +404,14 @@ class TestManifest:
             "[collective]\nlabel = X\ntotal = total.csv\n\n"
             "[actor]\nid = big\nlabel = Big\npath = big.csv\n",
         )
-        with pytest.raises(ManifestError) as err:
-            load_manifest(p)
-        assert "exceeds the total" in str(err.value)
+        message = (
+            "X: constituents sum past the total at publications of year 2015: "
+            f"{china.pubs[0]} > {brazil.pubs[0]}"
+        )
+        for load in (load_manifest, lambda p: build_collective(parse_manifest(p))):
+            with pytest.raises(SubsetError) as err:
+                load(p)
+            assert str(err.value) == message
 
     def test_assert_partition_residual_fails(self, tmp_path, china, scim_minus_china):
         (tmp_path / "total.csv").write_text(write_matrix(add(china, scim_minus_china)))
@@ -451,14 +491,16 @@ class TestManifest:
             parse_manifest(p)
         assert str(err.value) == "line 11: duplicate key 'id'"
 
-    def test_build_without_validation(self, tmp_path, china, brazil):
+    def test_build_without_validation(self, tmp_path, china, scim_minus_china):
         # build_collective skips validation so callers can inspect reports
-        (tmp_path / "total.csv").write_text(write_matrix(brazil))
-        (tmp_path / "big.csv").write_text(write_matrix(china))
+        (tmp_path / "total.csv").write_text(write_matrix(add(china, scim_minus_china)))
+        (tmp_path / "china.csv").write_text(write_matrix(china))
         p = self._write(
             tmp_path,
-            "[collective]\nlabel = X\ntotal = total.csv\n\n"
-            "[actor]\nid = big\nlabel = Big\npath = big.csv\n",
+            "[collective]\nlabel = X\ntotal = total.csv\nassert_partition = true\n\n"
+            "[actor]\nid = china\nlabel = China\npath = china.csv\n",
         )
         c = build_collective(parse_manifest(p))
-        assert c.actor_ids == ("big",)
+        assert c.actor_ids == ("china",)
+        report = validate_collective(c, assert_partition=True)
+        assert [f.code for f in report.errors] == ["partition"]
