@@ -402,13 +402,25 @@ class TestFractionalCounts:
     @pytest.mark.parametrize(
         "total,a,b,residual",
         [
+            (0.29, 0.1, 0.2, "constituents sum past the total at publications of "
+             "year 2000: 0.30000000000000004 > 0.29"),
             (0.31, 0.1, 0.2, "total exceeds the constituents' sum at publications "
              "of year 2000: 0.31 > 0.30000000000000004"),
+            (2.0**39, 2.0**38, 2.0**38 + 1, "constituents sum past the total at "
+             "publications of year 2000: 549755813889.0 > 549755813888.0"),
             (2.0**39 + 1, 2.0**38, 2.0**38, "total exceeds the constituents' sum at "
              "publications of year 2000: 549755813889.0 > 549755813888.0"),
         ],
     )
     def test_residual_beyond_the_tolerance(self, total, a, b, residual):
+        # Constituents past the total beyond the tolerance reject the
+        # collective as it is built; a total past the constituents builds,
+        # and the partition check reports the residual.
+        if residual.startswith("constituents sum past the total"):
+            with pytest.raises(SubsetError) as err:
+                self.collective(total, a, b)
+            assert str(err.value) == f"C: {residual}"
+            return
         report = validate_collective(self.collective(total, a, b), assert_partition=True)
         [finding] = report.errors
         assert finding.code == "partition"
@@ -416,12 +428,12 @@ class TestFractionalCounts:
 
     @pytest.mark.parametrize("total,a,b", [(0.29, 0.1, 0.2), (2.0**39, 2.0**38, 2.0**38 + 1)])
     def test_pair_beyond_the_tolerance_raises(self, total, a, b):
-        # A total exceeded beyond the tolerance rejects the collective.
-        with pytest.raises(SubsetError) as err:
+        # Each share fits inside the total alone; only the pair is rejected.
+        t = uniform("T", total)
+        Collective(label="C", total=t, constituents={"a": uniform("A", a)})
+        Collective(label="C", total=t, constituents={"b": uniform("B", b)})
+        with pytest.raises(SubsetError, match="^C: constituents sum past the total "):
             self.collective(total, a, b)
-        assert str(err.value) == (
-            f"C: constituents sum past the total at publications of year 2000: {a + b} > {total}"
-        )
 
     def test_pair_holding_the_whole_collective(self):
         # The total's citations exceed a + b = 0.30000000000000004 by one
