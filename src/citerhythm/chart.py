@@ -7,9 +7,9 @@ parsing the XML.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .rhythm import RhythmSequence
 
-__all__ = ["ChartSeries", "line_chart"]
+__all__ = ["line_chart"]
 
 _WIDTH = 720
 _HEIGHT = 420
@@ -33,26 +33,23 @@ def _escape(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ChartSeries:
-    """One plotted line: (year, value) points with undefined years already
-    dropped."""
-
-    label: str
-    points: tuple[tuple[int, float], ...]
-    dashed: bool = field(default=False)
-
-
 def _ticks(upper: float, count: int = 5) -> list[float]:
     step = upper / count
     return [step * i for i in range(count + 1)]
 
 
-def line_chart(years: tuple[int, ...], series: list[ChartSeries], title: str) -> str:
-    """Render series of ratios over a shared year axis, with a horizontal
-    reference line (class ``refline``) at 1. The y axis always starts at 0
-    and leaves 10% headroom above the largest value."""
-    y_max = max([_REFERENCE] + [v for s in series for _, v in s.points]) * 1.1
+def line_chart(title: str, sequences: list[tuple[str, RhythmSequence]]) -> str:
+    """Draw each labelled sequence's defined ratios as one line over the
+    first sequence's years, with a horizontal reference line (class
+    ``refline``) at 1; the first of two lines is dashed. The y axis always
+    starts at 0 and leaves 10% headroom above the largest ratio."""
+    years = sequences[0][1].years
+    lines = [
+        (label, [(p.year, p.ratio) for p in seq.points if p.ratio is not None])
+        for label, seq in sequences
+    ]
+    dashes = [' stroke-dasharray="6,4"', ""] if len(lines) == 2 else [""] * len(lines)
+    y_max = max([_REFERENCE] + [v for _, points in lines for _, v in points]) * 1.1
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -118,26 +115,24 @@ def line_chart(years: tuple[int, ...], series: list[ChartSeries], title: str) ->
         f'stroke="#888" stroke-width="1" stroke-dasharray="2,3"/>'
     )
 
-    for idx, s in enumerate(series):
-        if not s.points:
+    for idx, ((label, points), dash) in enumerate(zip(lines, dashes)):
+        if not points:
             continue
         color = _COLORS[idx % len(_COLORS)]
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-        pts = " ".join(f"{x(yr):.1f},{y(v):.1f}" for yr, v in s.points)
+        pts = " ".join(f"{x(yr):.1f},{y(v):.1f}" for yr, v in points)
         out.append(
-            f'<polyline class="series" data-label="{_escape(s.label)}" points="{pts}" '
+            f'<polyline class="series" data-label="{_escape(label)}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="2"{dash}/>'
         )
 
     legend_y = _MARGIN_TOP + 6
-    for idx, s in enumerate(series):
+    for idx, ((label, _), dash) in enumerate(zip(lines, dashes)):
         color = _COLORS[idx % len(_COLORS)]
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         ly = legend_y + idx * 18
         out.append(
             f'<g class="legend"><line x1="{_MARGIN_LEFT + 10}" y1="{ly}" '
             f'x2="{_MARGIN_LEFT + 38}" y2="{ly}" stroke="{color}" stroke-width="2"{dash}/>'
-            f'<text x="{_MARGIN_LEFT + 44}" y="{ly + 4}">{_escape(s.label)}</text></g>'
+            f'<text x="{_MARGIN_LEFT + 44}" y="{ly + 4}">{_escape(label)}</text></g>'
         )
 
     out.append("</svg>")

@@ -17,7 +17,6 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from . import __version__
-from .chart import ChartSeries, line_chart
 from .collective import actor_vs_actor, actor_vs_collective, validate_collective
 from .errors import RhythmError
 from .ingest import build_collective, load_manifest, parse_manifest, read_matrix_file
@@ -91,17 +90,10 @@ def _emit_table(
 def _emit_chart(
     args: argparse.Namespace, title: str, sequences: list[tuple[str, RhythmSequence]]
 ) -> int:
-    """Draw each labelled sequence's defined ratios as one line; the first
-    of two lines is dashed."""
-    series = [
-        ChartSeries(
-            label=label,
-            points=tuple((p.year, p.ratio) for p in seq.points if p.ratio is not None),
-            dashed=len(sequences) == 2 and i == 0,
-        )
-        for i, (label, seq) in enumerate(sequences)
-    ]
-    return _write(args, line_chart(sequences[0][1].years, series, title=title))
+    # Only svg output draws, so other runs do not load the chart module.
+    from .chart import line_chart
+
+    return _write(args, line_chart(title, sequences))
 
 
 def _emit_rhythm(

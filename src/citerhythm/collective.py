@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -71,8 +70,8 @@ class Collective:
     """
 
     label: str
-    total: PCMatrix
     constituents: Mapping[str, PCMatrix]
+    total: PCMatrix | None = None
 
     def __post_init__(self) -> None:
         if not self.constituents:
@@ -93,22 +92,7 @@ class Collective:
         excess = _first_excess(self.total, parts)
         if excess is not None:
             raise SubsetError(f"{self.label}: constituents sum past the total at {excess}")
-        self._sums_exact  # the pass runs at build, outside any comparison
-
-    @cached_property
-    def _sums_exact(self) -> bool:
-        return _sums_subtract_exactly(self)
-
-    @classmethod
-    def build(
-        cls,
-        label: str,
-        constituents: Mapping[str, PCMatrix],
-        total: PCMatrix | None = None,
-    ) -> "Collective":
-        """Build a collective, taking the constituents' sum as the total
-        when no explicit total is given."""
-        return cls(label=label, total=total, constituents=constituents)
+        object.__setattr__(self, "_sums_exact", _sums_subtract_exactly(self))
 
     @property
     def actor_ids(self) -> tuple[str, ...]:

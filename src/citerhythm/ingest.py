@@ -56,6 +56,7 @@ class ManifestActor:
 
 @dataclass(frozen=True)
 class CollectiveManifest:
+    path: Path
     label: str
     total_path: Path | None
     actors: tuple[ManifestActor, ...]
@@ -221,9 +222,9 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     The format is line-based: a single ``[collective]`` section (keys
     ``label``, optional ``total``, optional ``assert_partition``) followed
     by one ``[actor]`` section per constituent (keys ``id``, ``label``,
-    ``path``). Any other key, or a key given twice in one section, is an
-    error. Lines end in LF or CRLF. ``#`` and ``;`` start comments; matrix
-    paths are resolved relative to the manifest file.
+    ``path``). Any other key, a key given twice in one section, or a key
+    given no value is an error. Lines end in LF or CRLF. ``#`` and ``;``
+    start comments; matrix paths are resolved relative to the manifest file.
     """
     path = Path(path)
     try:
@@ -260,12 +261,14 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ManifestError(f"line {lineno}: expected key = value, got {line!r}")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in keys:
                 raise ManifestError(f"line {lineno}: unknown key {key!r}")
             if key in current:
                 raise ManifestError(f"line {lineno}: duplicate key {key!r}")
-            current[key] = value.strip()
+            if not value:
+                raise ManifestError(f"line {lineno}: empty value for {key!r}")
+            current[key] = value
 
     if collective is None:
         raise ManifestError("manifest has no [collective] section")
@@ -292,6 +295,7 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
         raise ManifestError("manifest names no actors")
 
     return CollectiveManifest(
+        path=path,
         label=collective["label"],
         total_path=total_path,
         actors=tuple(parsed_actors),
@@ -311,14 +315,19 @@ def _read_referenced(path: Path, label: str) -> PCMatrix:
 def build_collective(manifest: CollectiveManifest) -> Collective:
     """Load every referenced matrix and assemble the collective without
     :func:`validate_collective`. The constituents must still share the total's
-    window (:class:`AlignmentError`) and fit inside it (:class:`SubsetError`)."""
+    window and fit inside it; where they do not, the :class:`AlignmentError`
+    or :class:`SubsetError` becomes a :class:`ManifestError` that names the
+    manifest."""
     constituents = {
         a.actor_id: _read_referenced(a.path, a.label) for a in manifest.actors
     }
     total = None
     if manifest.total_path is not None:
         total = _read_referenced(manifest.total_path, manifest.label)
-    return Collective.build(manifest.label, constituents, total=total)
+    try:
+        return Collective(manifest.label, constituents, total)
+    except RhythmError as exc:
+        raise ManifestError(f"{manifest.path}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> Collective:

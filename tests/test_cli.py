@@ -93,7 +93,7 @@ class TestValidate:
         assert run(capsys, "validate", str(p)) == (
             1,
             "",
-            f"error: X: constituents sum past the total at citations (2015, 2016): "
+            f"error: {p}: X: constituents sum past the total at citations (2015, 2016): "
             f"{x + 1} > {x}\n",
         )
 
@@ -108,7 +108,7 @@ class TestValidate:
             "[collective]\nlabel = T\ntotal = total.csv\n"
             + "".join(f"\n[actor]\nid = {a}\nlabel = {a}\npath = {a}.csv\n" for a in "uwv")
         )
-        err = "error: T: constituents sum past the total at publications of year 2000: "
+        err = f"error: {p}: T: constituents sum past the total at publications of year 2000: "
         err += "12.0 > 10.0\n"
         for argv in (
             ["validate", str(p)],

@@ -36,13 +36,13 @@ def small(label="m", first_year=2000, pubs=(4.0, 2.0), cites=((3.0, 5.0), (2.0,)
 
 class TestBuild:
     def test_reconstructs_total_from_constituents(self, china, scim_minus_china):
-        c = Collective.build("SCIM", {"china": china, "rest": scim_minus_china})
+        c = Collective("SCIM", {"china": china, "rest": scim_minus_china})
         assert c.total == add(china, scim_minus_china)
         assert c.total.label == "SCIM"
 
     def test_requires_constituents(self):
         with pytest.raises(ValueError):
-            Collective.build("empty", {})
+            Collective("empty", {})
         total = PCMatrix(2000, (1.0,), ((1.0,),), "T")
         with pytest.raises(ValueError, match="^a collective needs at least one constituent$"):
             Collective(label="C", total=total, constituents={})
@@ -68,7 +68,7 @@ class TestBuild:
     def test_rejects_misaligned_constituent(self, china):
         shifted = PCMatrix(first_year=2016, pubs=china.pubs, cites=china.cites)
         with pytest.raises(AlignmentError):
-            Collective.build("x", {"a": china, "b": shifted})
+            Collective("x", {"a": china, "b": shifted})
 
     def test_actor_lookup(self, scim):
         assert scim.actor("china").label == "China"
@@ -88,7 +88,7 @@ class TestComplement:
 
     def test_whole_collective_leaves_zero(self):
         m = small()
-        c = Collective.build("solo", {"all": m}, total=m)
+        c = Collective("solo", {"all": m}, total=m)
         assert complement(c, {"all"}) == zero(m.first_year, m.n)
 
     def test_unknown_or_empty(self, scim):
@@ -129,7 +129,7 @@ class TestActorVsCollective:
 
     def test_degenerate_complement_yields_no_ratios(self):
         m = small()
-        c = Collective.build("solo", {"all": m}, total=m)
+        c = Collective("solo", {"all": m}, total=m)
         seq = actor_vs_collective(c, "all")
         assert all(p.ratio is None for p in seq.points)
         assert seq.i1 is None
@@ -145,7 +145,7 @@ class TestActorVsCollective:
                 tuple(7.0 for _ in row) for row in china.cites
             ),
         )
-        perturbed = Collective.build(
+        perturbed = Collective(
             "SCIM'",
             {"china": add(china, bump), "brazil": scim.actor("brazil"),
              "netherlands": scim.actor("netherlands")},
@@ -199,7 +199,7 @@ class TestActorVsActor:
         assert ab.baseline_label == ba.baseline_label
 
     def test_identical_actors_tie_everywhere(self, brazil, china):
-        c = Collective.build(
+        c = Collective(
             "twins+bg",
             {"left": brazil, "right": brazil, "bg": china},
         )
@@ -223,7 +223,7 @@ class TestValidate:
 
     def test_dominant_constituent_warns(self):
         m = small()
-        c = Collective.build("solo", {"all": m}, total=m)
+        c = Collective("solo", {"all": m}, total=m)
         report = validate_collective(c)
         assert report.ok  # warnings only
         codes = {f.code for f in report.warnings}
@@ -233,7 +233,7 @@ class TestValidate:
     def test_small_complement_warns(self):
         big = small(pubs=(30.0, 30.0))
         tiny = small(pubs=(1.0, 1.0), cites=((0.0, 0.0), (0.0,)))
-        c = Collective.build("pond", {"big": big, "tiny": tiny})
+        c = Collective("pond", {"big": big, "tiny": tiny})
         report = validate_collective(c)
         smallness = [f for f in report.warnings if f.code == "smallness"]
         assert len(smallness) == 1
@@ -287,7 +287,7 @@ class TestValidate:
         total = small("T", pubs=(1.5e308, 2.0))
         for build in (
             lambda: Collective(label="C", total=total, constituents={"a": part, "b": part}),
-            lambda: Collective.build("C", {"a": part, "b": part}),
+            lambda: Collective("C", {"a": part, "b": part}),
         ):
             with pytest.raises(SubsetError, match="^C: constituents sum past the largest float$"):
                 build()
@@ -357,7 +357,7 @@ class TestOverlappingConstituents:
         with pytest.raises(SubsetError, match=message):
             Collective(label="T", total=total, constituents=parts)
         with pytest.raises(SubsetError, match=message):
-            Collective.build("T", parts, total=total)
+            Collective("T", parts, total=total)
 
     def test_overlap_that_fits_goes_unseen(self):
         # A known limit: u and v share one paper with 5 citations, but their
@@ -555,7 +555,7 @@ class TestSumsMatchComplements:
         # publications.
         a = small("A", pubs=(1.0, 1.0), cites=((1.0, 0.0), (2.0**-53,)))
         b = small("B", pubs=(1.0, 1.0), cites=((0.0, 0.0), (2.0**-53,)))
-        c = Collective.build("C", {"a": a, "b": b})
+        c = Collective("C", {"a": a, "b": b})
         result = actor_vs_actor(c, "a", "b")
         assert result.per_year_winner == (None, None)
         assert all(seq.undefined_years == (2000, 2001) for seq in result.sequences.values())

@@ -5,7 +5,7 @@ imports only public names from the package, so each rule it relies on lives
 behind one module's public interface. No module reads the environment, so a
 command's output depends on its arguments and input files alone. Each
 module's ``__all__`` is the only list of its public names: the package
-re-exports those lists, and ``chart`` does not load with it."""
+re-exports those lists, and ``chart`` loads only where a command draws svg."""
 
 import ast
 import importlib
@@ -78,6 +78,32 @@ def test_package_import_leaves_chart_unloaded():
         check=True,
     ).stdout
     assert out.split() == ["False"]
+
+
+FIXTURES = ROOT / "src" / "citerhythm" / "fixtures"
+COMMANDS = {
+    "internal": ["internal", str(FIXTURES / "china.csv")],
+    "external": ["external", str(FIXTURES / "scim.manifest"), "--actor", "china"],
+    "compare": ["compare", str(FIXTURES / "scim.manifest"), "--a", "china", "--b", "brazil"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "svg"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_svg_output_loads_chart(tmp_path, command, fmt):
+    probe = (
+        "import sys; from citerhythm.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'citerhythm.chart' in sys.modules)"
+    )
+    argv = COMMANDS[command] + ["--format", fmt, "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["0", str(fmt == "svg")]
 
 
 def test_cli_imports_only_public_names():

@@ -392,8 +392,10 @@ class TestManifest:
             "[collective]\nlabel = X\n\n[actor]\nid = a\nlabel = A\npath = a.csv\n"
             "\n[actor]\nid = b\nlabel = B\npath = b.csv\n",
         )
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ManifestError) as err:
             load_manifest(p)
+        assert str(err.value) == f"{p}: constituent 'b' covers 2016-2025, X covers 2015-2024"
+        assert isinstance(err.value.__cause__, AlignmentError)
 
     def test_subset_violation_fails_load(self, tmp_path, china, brazil):
         # Assembling the collective already rejects it, validated or not.
@@ -405,13 +407,14 @@ class TestManifest:
             "[actor]\nid = big\nlabel = Big\npath = big.csv\n",
         )
         message = (
-            "X: constituents sum past the total at publications of year 2015: "
+            f"{p}: X: constituents sum past the total at publications of year 2015: "
             f"{china.pubs[0]} > {brazil.pubs[0]}"
         )
         for load in (load_manifest, lambda p: build_collective(parse_manifest(p))):
-            with pytest.raises(SubsetError) as err:
+            with pytest.raises(ManifestError) as err:
                 load(p)
             assert str(err.value) == message
+            assert isinstance(err.value.__cause__, SubsetError)
 
     def test_assert_partition_residual_fails(self, tmp_path, china, scim_minus_china):
         (tmp_path / "total.csv").write_text(write_matrix(add(china, scim_minus_china)))
@@ -481,6 +484,19 @@ class TestManifest:
         with pytest.raises(ManifestError) as err:
             parse_manifest(p)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("line", [2, 3, 4, 7, 8, 9])
+    def test_empty_value_rejected_at_its_line(self, tmp_path, line):
+        lines = [
+            "[collective]", "label = X", "total = t.csv", "assert_partition = true", "",
+            "[actor]", "id = a", "label = A", "path = a.csv",
+        ]
+        key = lines[line - 1].partition(" =")[0]
+        lines[line - 1] = f"{key} = "
+        p = self._write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value) == f"line {line}: empty value for {key!r}"
 
     def test_repeated_key_rejected(self, tmp_path):
         # A second id in China's section would rename China.

@@ -148,7 +148,7 @@ def seeded_collective(seed: int, k: int = 5, n: int = 8) -> Collective:
     events = tuple(ev for c in corpora for ev in c.events)
     total = aggregate(EventCorpus(2000, pubs, events, label="total"))
     actors = {f"a{i}": aggregate(c) for i, c in enumerate(corpora[:k])}
-    return Collective.build("synthetic", actors, total=total)
+    return Collective("synthetic", actors, total=total)
 
 
 @st.composite
