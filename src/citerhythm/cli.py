@@ -160,10 +160,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     title = f"Comparison: {a} vs {b} (baseline {result.baseline_label})"
     if args.format == "svg":
         return _emit_chart(args, title, [(a, seq_a), (b, seq_b)])
-    rows = [
-        [str(pa.year), pa.ratio, pb.ratio, winner if winner is not None else "tie"]
-        for pa, pb, winner in zip(seq_a.points, seq_b.points, result.per_year_winner)
-    ]
+    rows: list[list[float | str | None]] = []
+    for pa, pb, winner in zip(seq_a.points, seq_b.points, result.per_year_winner):
+        # No winner is a tie, or undefined where either ratio is.
+        if winner is None and None not in (pa.ratio, pb.ratio):
+            winner = "tie"
+        rows.append([str(pa.year), pa.ratio, pb.ratio, winner])
     csv_footers = [["I1", seq_a.i1, seq_b.i1], ["I2", seq_a.i2, seq_b.i2]]
     text_footers = [
         [f"{actor}: I1 = ", seq.i1, ", I2 = ", seq.i2] for actor, seq in ((a, seq_a), (b, seq_b))

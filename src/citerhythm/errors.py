@@ -16,7 +16,17 @@ __all__ = [
 
 
 class RhythmError(Exception):
-    """Base class for all citerhythm errors."""
+    """Base class for all citerhythm errors. An error found in a file
+    carries its 1-based ``line`` (and ``column``) and names them first in
+    its message; both are None when unknown."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{where}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 class AlignmentError(RhythmError, ValueError):
@@ -45,18 +55,7 @@ class DomainError(RhythmError, ValueError):
 
 
 class MatrixParseError(RhythmError, ValueError):
-    """Malformed matrix CSV. Carries 1-based line/column positions when known."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
-        super().__init__(where + message)
-        self.line = line
-        self.column = column
+    """Malformed matrix CSV."""
 
 
 class LayoutError(MatrixParseError):

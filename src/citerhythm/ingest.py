@@ -69,11 +69,9 @@ def _cell_value(cell: str, line: int, column: int) -> float:
     except ValueError:
         raise MatrixParseError(f"not a number: {cell!r}", line, column) from None
     if value < 0:
-        raise DomainError(f"line {line}, column {column}: negative count {cell!r}")
+        raise DomainError(f"negative count {cell!r}", line, column)
     if not math.isfinite(value):
-        raise DomainError(
-            f"line {line}, column {column}: count must be finite, got {cell!r}"
-        )
+        raise DomainError(f"count must be finite, got {cell!r}", line, column)
     return value
 
 
@@ -109,13 +107,13 @@ def _row_counts(
     return pub, cells
 
 
-def _check_line_ends(text: str) -> None:
-    """:class:`LayoutError` at the first CR that no LF follows: in matrix
+def _check_line_ends(text: str, error: type[RhythmError]) -> None:
+    """``error`` at the line of the first CR that no LF follows: in matrix
     files and manifests alike, a line ends in LF or CRLF."""
     match = re.search(r"\r(?!\n)", text) if "\r" in text else None
     if match is not None:
         line = text.count("\n", 0, match.start()) + 1
-        raise LayoutError("carriage return without line feed; lines must end in LF or CRLF", line)
+        raise error("carriage return without line feed; lines must end in LF or CRLF", line)
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -131,7 +129,7 @@ def _csv_rows(text: str) -> list[list[str]]:
 
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
     """Parse a matrix CSV document into a :class:`PCMatrix`."""
-    _check_line_ends(text)
+    _check_line_ends(text, LayoutError)
     rows = _csv_rows(text)
     if not rows:
         raise LayoutError("empty document", 1)
@@ -146,7 +144,12 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
     if citing_years != list(range(citing_years[0], citing_years[0] + n)):
         raise LayoutError("citing years must be consecutive and ascending", 1)
 
+    # A row with the wrong number of cells, a blank line included, is
+    # reported at its own line, before the row count it may have thrown off.
     data = rows[1:]
+    for line, row in enumerate(data[:n], 2):
+        if len(row) != n + 2:
+            raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
     if len(data) != n:
         raise LayoutError(f"expected {n} data rows, found {len(data)}", len(rows))
 
@@ -154,8 +157,6 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
     cites: list[tuple[float, ...]] = []
     for t, row in enumerate(data):
         line = t + 2
-        if len(row) != n + 2:
-            raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
         try:
             year = int(row[0])
         except ValueError:
@@ -191,24 +192,22 @@ def write_matrix(m: PCMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decode(raw: bytes) -> str:
+def _decode(raw: bytes, error: type[RhythmError]) -> str:
     """``raw`` as UTF-8 text without a leading byte order mark. Bytes that
-    are not UTF-8 raise :class:`MatrixParseError` naming their line."""
+    are not UTF-8 raise ``error`` naming their line."""
     try:
         return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         byte = exc.object[exc.start]
-        raise MatrixParseError(
-            f"cannot decode byte {byte:#04x} as UTF-8: {exc.reason}", line
-        ) from None
+        raise error(f"cannot decode byte {byte:#04x} as UTF-8: {exc.reason}", line) from None
 
 
 def read_matrix_file(path: str | Path, label: str | None = None) -> MatrixFile:
     """Read and parse a matrix CSV file; the label defaults to the file stem."""
     path = Path(path)
     raw = path.read_bytes()
-    matrix = parse_matrix(_decode(raw), label=label or path.stem)
+    matrix = parse_matrix(_decode(raw, MatrixParseError), label=label or path.stem)
     return MatrixFile(path=path, matrix=matrix, sha256=hashlib.sha256(raw).hexdigest())
 
 
@@ -228,12 +227,10 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
     """
     path = Path(path)
     try:
-        text = _decode(path.read_bytes())
-        _check_line_ends(text)
+        text = _decode(path.read_bytes(), ManifestError)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except MatrixParseError as exc:
-        raise ManifestError(str(exc)) from None
+    _check_line_ends(text, ManifestError)
     base = path.parent
 
     collective: dict[str, str] | None = None
@@ -247,27 +244,27 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
             continue
         if line == "[collective]":
             if collective is not None:
-                raise ManifestError(f"line {lineno}: duplicate [collective] section")
+                raise ManifestError("duplicate [collective] section", lineno)
             collective = {}
             current, keys = collective, _COLLECTIVE_KEYS
         elif line == "[actor]":
             actors.append({})
             current, keys = actors[-1], _ACTOR_KEYS
         elif line.startswith("["):
-            raise ManifestError(f"line {lineno}: unknown section {line}")
+            raise ManifestError(f"unknown section {line}", lineno)
         else:
             if current is None:
-                raise ManifestError(f"line {lineno}: key outside any section")
+                raise ManifestError("key outside any section", lineno)
             key, sep, value = line.partition("=")
             if not sep:
-                raise ManifestError(f"line {lineno}: expected key = value, got {line!r}")
+                raise ManifestError(f"expected key = value, got {line!r}", lineno)
             key, value = key.strip(), value.strip()
             if key not in keys:
-                raise ManifestError(f"line {lineno}: unknown key {key!r}")
+                raise ManifestError(f"unknown key {key!r}", lineno)
             if key in current:
-                raise ManifestError(f"line {lineno}: duplicate key {key!r}")
+                raise ManifestError(f"duplicate key {key!r}", lineno)
             if not value:
-                raise ManifestError(f"line {lineno}: empty value for {key!r}")
+                raise ManifestError(f"empty value for {key!r}", lineno)
             current[key] = value
 
     if collective is None:

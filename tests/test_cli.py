@@ -13,6 +13,7 @@ import pytest
 
 import citerhythm
 from citerhythm import PCMatrix, fixture_path, write_matrix
+from citerhythm import cli
 from citerhythm.cli import format_number, main
 
 
@@ -96,6 +97,19 @@ class TestValidate:
             f"error: {p}: X: constituents sum past the total at citations (2015, 2016): "
             f"{x + 1} > {x}\n",
         )
+
+    def test_partition_residual_fails(self, capsys, tmp_path, china, scim_total):
+        (tmp_path / "total.csv").write_text(write_matrix(scim_total))
+        (tmp_path / "china.csv").write_text(write_matrix(china))
+        p = tmp_path / "p.manifest"
+        p.write_text(
+            "[collective]\nlabel = X\ntotal = total.csv\nassert_partition = true\n\n"
+            "[actor]\nid = china\nlabel = China\npath = china.csv\n"
+        )
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, err) == (1, "")
+        assert "[error] partition:" in out
+        assert out.endswith("FAILED: 1 error(s)\n")
 
     def test_overlapping_constituents_rejected(self, capsys, tmp_path):
         # u and w share 2 of their 4 papers each: together with v they pass
@@ -435,6 +449,29 @@ class TestOracleCheck:
         assert code == 0
         assert "all within" in out
 
+    def test_verbose_prints_every_comparison(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle-check", str(fixture_path("china.csv")), "--trials", "2", "--verbose"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:5]] == [
+            "  china internal",
+            "  trial 0 internal",
+            "  trial 0 cross",
+            "  trial 1 internal",
+            "  trial 1 cross",
+        ]
+        assert all("max relative difference" in line for line in lines[:5])
+        assert lines[5].startswith("oracle-check: 5 comparisons")
+
+    def test_difference_past_the_tolerance_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_TOLERANCE", -1.0)
+        code, out, _ = run(capsys, "oracle-check", manifest(), "--trials", "0")
+        assert code == 1
+        assert "  FAIL total internal: 0.000e+00 > -1" in out.splitlines()
+        assert "all within" not in out
+
     def test_manifest_with_utf8_bom_detected(self, capsys, tmp_path):
         for name in ("scim_total.csv", "china.csv", "brazil.csv", "netherlands.csv"):
             (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
@@ -482,7 +519,7 @@ class TestOracleCheck:
             0,
             "Comparison: a vs b (baseline F \\ {a, b})\n"
             "year  a  b  winner\n"
-            "2000  -  -     tie\n"
+            "2000  -  -       -\n"
             "a: I1 = -, I2 = -\n"
             "b: I1 = -, I2 = -\n",
             "",

@@ -97,6 +97,21 @@ class TestParse:
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}: {message}")
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # A blank line is a row of its own, reported before the row count.
+            (["2020,3,1,2", "", "2021,4,,5"], "line 3: expected 4 cells, found 0"),
+            (["2020,3,1,2"], "line 2: expected 2 data rows, found 1"),
+            (["2020,3,1,2", "2021,4,,5", "2022,1,,"], "line 4: expected 2 data rows, found 3"),
+        ],
+        ids=["blank", "missing", "extra"],
+    )
+    def test_row_shape_reported_at_its_line(self, rows, message):
+        with pytest.raises(LayoutError) as err:
+            parse_matrix("year,pubs,2020,2021\n" + "\n".join(rows) + "\n")
+        assert str(err.value) == message
+
     def test_line_endings(self):
         text = "year,pubs,2020,2021\n2020,1,2,3\n2021,4,,5\n"
         assert parse_matrix(text.replace("\n", "\r\n")) == parse_matrix(text)
@@ -127,6 +142,7 @@ class TestParse:
             (["2020,1,2,3", "2021,-1,5,3"], "line 3, column 2: negative count"),
             (["2020,1,2,3", "2021,nan,,3"], "line 3, column 2: count must be finite"),
             (["2020,1,2,-inf", "2021,1,,3"], "line 2, column 4: negative count '-inf'"),
+            (["2020.0,1,2,x", "2021,1,,3"], "line 2, column 1: not a year: '2020.0'"),
         ],
     )
     def test_first_bad_cell_in_reading_order(self, rows, message):
@@ -200,6 +216,51 @@ def damaged_documents(draw):
         grid[t][column - 1] = draw(st.sampled_from(_TOKENS))
     text = "\n".join([lines[0], *(",".join(row) for row in grid)]) + "\n"
     return text, grid
+
+
+_MATRIX_HEAD = b"year,pubs,2020,2021\n"
+_MANIFEST_HEAD = b"[collective]\nlabel = X\n"
+
+
+@pytest.mark.parametrize(
+    "name,raw,error,line,column",
+    [
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,x\n2021,1,,3\n", MatrixParseError, 2, 4),
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,3\n2021,-1,,3\n", DomainError, 3, 2),
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,nan\n2021,1,,3\n", DomainError, 2, 4),
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,3\n2021,1,0,3\n", LayoutError, 3, 3),
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,3\n2021,\xff,,3\n", MatrixParseError, 3, None),
+        ("m.csv", _MATRIX_HEAD + b"2020,1,2,3\r2021,1,,3\n", LayoutError, 2, None),
+        ("m.manifest", _MANIFEST_HEAD + b"[actor]\nid = \xff\n", ManifestError, 4, None),
+        ("m.manifest", _MANIFEST_HEAD + b"[actor]\rid = a\n", ManifestError, 3, None),
+        ("m.manifest", _MANIFEST_HEAD + b"[collective]\n", ManifestError, 3, None),
+        ("m.manifest", _MANIFEST_HEAD + b"\n[banana]\n", ManifestError, 4, None),
+        ("m.manifest", b"# comment\nlabel = X\n", ManifestError, 2, None),
+        ("m.manifest", _MANIFEST_HEAD + b"total t.csv\n", ManifestError, 3, None),
+        ("m.manifest", _MANIFEST_HEAD + b"weight = 1\n", ManifestError, 3, None),
+        ("m.manifest", _MANIFEST_HEAD + b"label = Y\n", ManifestError, 3, None),
+        ("m.manifest", _MANIFEST_HEAD + b"[actor]\nid =\n", ManifestError, 4, None),
+    ],
+    ids=[
+        "not-a-number", "negative", "non-finite", "below-diagonal", "matrix-bad-byte",
+        "matrix-lone-cr", "manifest-bad-byte", "manifest-lone-cr", "duplicate-collective",
+        "unknown-section", "key-outside-section", "no-equals", "unknown-key",
+        "duplicate-key", "empty-value",
+    ],
+)
+def test_error_position_matches_its_message(tmp_path, name, raw, error, line, column):
+    """An error found in a file carries the line (and column) that its
+    message names, whatever its type."""
+    path = tmp_path / name
+    path.write_bytes(raw)
+    read = parse_manifest if name.endswith(".manifest") else read_matrix_file
+    with pytest.raises(error) as err:
+        read(path)
+    assert type(err.value) is error
+    assert (err.value.line, err.value.column) == (line, column)
+    where = f"line {line}" + (f", column {column}" if column is not None else "")
+    assert str(err.value).startswith(where + ": ")
+    assert not str(err.value).startswith(where + ", column")
 
 
 class TestParseEqualsCellByCellCheck:
@@ -363,6 +424,13 @@ class TestManifest:
         assert str(err.value) == (
             "line 2: carriage return without line feed; lines must end in LF or CRLF"
         )
+
+    def test_missing_manifest(self, tmp_path):
+        p = tmp_path / "gone.manifest"
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(p)
+        assert str(err.value).startswith(f"cannot read manifest {p}: ")
+        assert isinstance(err.value.__cause__, FileNotFoundError)
 
     def test_error_in_referenced_matrix_names_the_file(self, tmp_path):
         (tmp_path / "a.csv").write_text("year,pubs,2020\n2020,1\x00,1\n")

@@ -13,6 +13,7 @@ from citerhythm import (
     CitationEvent,
     Collective,
     CorpusSpec,
+    DataConsistencyError,
     DomainError,
     EventCorpus,
     PCMatrix,
@@ -127,6 +128,11 @@ class TestBruteForce:
                 )
                 <= 1e-9
             )
+
+    def test_citations_at_an_age_without_publications_rejected(self):
+        corpus = EventCorpus(2000, (0.0, 1.0), (CitationEvent(2000, 2001),))
+        with pytest.raises(DataConsistencyError, match="age 2: 1.0 citations"):
+            brute_force_rhythm(corpus)
 
     def test_window_mismatch_rejected(self):
         from citerhythm import AlignmentError
@@ -285,6 +291,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             CorpusSpec(**kwargs)
 
+    def test_default_curve_needs_a_year(self):
+        with pytest.raises(ValueError):
+            default_age_curve(0)
+
     def test_default_curve_shape(self):
         curve = default_age_curve(12)
         assert len(curve) == 12
@@ -302,3 +312,8 @@ class TestComparator:
         a = internal_rhythm(china)
         b = internal_rhythm(zero(china.first_year, china.n))
         assert math.isinf(max_relative_difference(a, b))
+
+    def test_different_years_are_infinitely_apart(self, china):
+        a = internal_rhythm(china)
+        b = internal_rhythm(PCMatrix(china.first_year + 1, china.pubs, china.cites))
+        assert max_relative_difference(a, b) == math.inf
