@@ -18,7 +18,8 @@ __all__ = [
 class RhythmError(Exception):
     """Base class for all citerhythm errors. An error found in a file
     carries its 1-based ``line`` (and ``column``) and names them first in
-    its message; both are None when unknown."""
+    its message, or after the file's path when a manifest references that
+    file; both are None when unknown."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,60 +116,66 @@ def _check_line_ends(text: str, error: type[RhythmError]) -> None:
         raise error("carriage return without line feed; lines must end in LF or CRLF", line)
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """Rows of a CSV document, or :class:`LayoutError` at the line the
-    reader stopped on. Returning frees the reader's buffer, a copy of the
-    whole text, before the cells are converted."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise LayoutError(str(exc), reader.line_num) from None
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its LF, as ``io.StringIO`` would give
+    them, but without its copy of the whole text at four bytes a character."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
 
 
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
-    """Parse a matrix CSV document into a :class:`PCMatrix`."""
+    """Parse a matrix CSV document into a :class:`PCMatrix`.
+
+    Each data row is converted as the reader yields it, so only one row's
+    cell text is alive at a time. The first fault in reading order is the
+    one reported; the row count is checked after the last row.
+    """
     _check_line_ends(text, LayoutError)
-    rows = _csv_rows(text)
-    if not rows:
-        raise LayoutError("empty document", 1)
-    header = rows[0]
-    if len(header) < 3 or header[0] != "year" or header[1] != "pubs":
-        raise LayoutError('header must be "year,pubs,<first citing year>,..."', 1)
+    reader = csv.reader(_lines(text))
     try:
-        citing_years = [int(y) for y in header[2:]]
-    except ValueError:
-        raise LayoutError("citing-year columns must be integers", 1) from None
-    n = len(citing_years)
-    if citing_years != list(range(citing_years[0], citing_years[0] + n)):
-        raise LayoutError("citing years must be consecutive and ascending", 1)
-
-    # A row with the wrong number of cells, a blank line included, is
-    # reported at its own line, before the row count it may have thrown off.
-    data = rows[1:]
-    for line, row in enumerate(data[:n], 2):
-        if len(row) != n + 2:
-            raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
-    if len(data) != n:
-        raise LayoutError(f"expected {n} data rows, found {len(data)}", len(rows))
-
-    pubs: list[float] = []
-    cites: list[tuple[float, ...]] = []
-    for t, row in enumerate(data):
-        line = t + 2
+        header = next(reader, None)
+        if header is None:
+            raise LayoutError("empty document", 1)
+        if len(header) < 3 or header[0] != "year" or header[1] != "pubs":
+            raise LayoutError('header must be "year,pubs,<first citing year>,..."', 1)
         try:
-            year = int(row[0])
+            citing_years = [int(y) for y in header[2:]]
         except ValueError:
-            raise MatrixParseError(f"not a year: {row[0]!r}", line, 1) from None
-        if year != citing_years[t]:
-            raise LayoutError(
-                f"publication year {year} out of order, expected {citing_years[t]}",
-                line,
-                1,
-            )
-        pub, cells = _row_counts(row, t, line)
-        pubs.append(pub)
-        cites.append(cells)
+            raise LayoutError("citing-year columns must be integers", 1) from None
+        n = len(citing_years)
+        if citing_years != list(range(citing_years[0], citing_years[0] + n)):
+            raise LayoutError("citing years must be consecutive and ascending", 1)
+
+        pubs: list[float] = []
+        cites: list[tuple[float, ...]] = []
+        line = 1
+        for line, row in enumerate(reader, 2):
+            t = line - 2
+            if t >= n:
+                continue  # counted only; the row count is checked below
+            if len(row) != n + 2:
+                raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
+            try:
+                year = int(row[0])
+            except ValueError:
+                raise MatrixParseError(f"not a year: {row[0]!r}", line, 1) from None
+            if year != citing_years[t]:
+                raise LayoutError(
+                    f"publication year {year} out of order, expected {citing_years[t]}",
+                    line,
+                    1,
+                )
+            pub, cells = _row_counts(row, t, line)
+            pubs.append(pub)
+            cites.append(cells)
+    except csv.Error as exc:
+        raise LayoutError(str(exc), reader.line_num) from None
+    if line - 1 != n:
+        raise LayoutError(f"expected {n} data rows, found {line - 1}", line)
 
     # Every count passed _cell_value's checks, in bulk or cell by cell, so
     # the matrix skips the constructor's second pass over the same cells.
@@ -187,7 +193,11 @@ def write_matrix(m: PCMatrix) -> str:
     diagonal); parsing the result reproduces the matrix exactly."""
     lines = ["year,pubs," + ",".join(map(str, m.years))]
     for t, (year, pub, row) in enumerate(zip(m.years, m.pubs, m.cites)):
-        cells = ",".join(map(_format_count, row))
+        if all(map(float.is_integer, row)):
+            # %d gives str(int(x)) for every finite integer-valued float.
+            cells = ("%d," * len(row))[:-1] % row
+        else:
+            cells = ",".join(map(_format_count, row))
         lines.append(f"{year},{_format_count(pub)},{',' * t}{cells}")
     return "\n".join(lines) + "\n"
 
@@ -302,11 +312,15 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
 
 def _read_referenced(path: Path, label: str) -> PCMatrix:
     """The matrix at ``path``; any error reading or parsing it becomes a
-    :class:`ManifestError` that names the file."""
+    :class:`ManifestError` that names the file and keeps the position in it."""
     try:
         return read_matrix_file(path, label=label).matrix
-    except (OSError, RhythmError) as exc:
+    except OSError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
+    except RhythmError as exc:
+        error = ManifestError(f"{path}: {exc}")
+        error.line, error.column = exc.line, exc.column
+        raise error from exc
 
 
 def build_collective(manifest: CollectiveManifest) -> Collective:

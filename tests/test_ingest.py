@@ -1,6 +1,8 @@
 import hashlib
+import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from citerhythm import (
     validate_collective,
     write_matrix,
 )
+from citerhythm.ingest import _format_count, _lines
 from helpers import random_matrix, zero
 
 FIXTURES = [
@@ -150,6 +153,47 @@ class TestParse:
         with pytest.raises(RhythmError) as err:
             parse_matrix(text)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "text,error,line,column",
+        [
+            # A bad year comes before a short row further down.
+            (
+                "year,pubs,2020,2021,2022\nx,1,1,2,3\n2021,1,,2,3\n2022,1,,\n",
+                MatrixParseError, 2, 1,
+            ),
+            # A bad header comes before a field past the csv limit.
+            (
+                "year,pubs,2020,abc\n2020,1," + "1" * 131_073 + ",1\n",
+                LayoutError, 1, None,
+            ),
+            # A bad cell comes before the row count.
+            ("year,pubs,2020,2021\n2020,1,2,3\n2021,1,,x\n2022,1,,3\n", MatrixParseError, 3, 4),
+        ],
+        ids=["year-before-short-row", "header-before-field-limit", "cell-before-row-count"],
+    )
+    def test_first_fault_in_reading_order(self, text, error, line, column):
+        with pytest.raises(RhythmError) as err:
+            parse_matrix(text)
+        assert type(err.value) is error
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @given(st.text(alphabet="1,\"\n\r\x0c\x85\u2028"))
+    def test_lines_split_as_stringio_does(self, text):
+        assert list(_lines(text)) == list(io.StringIO(text))
+
+    def test_holds_one_row_of_text_at_a_time(self):
+        # Beyond the matrix it returns, parsing allocates less than the
+        # document's own size: no copy of the text, no text of every cell.
+        text = write_matrix(random_matrix(random.Random(300), n=300, min_pubs=0, max_cites=99))
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.n == 300
+        assert peak - kept < len(text)
 
     def test_row_whose_sum_overflows_still_parses(self):
         # Every cell is finite; only their sum is not.
@@ -278,6 +322,36 @@ class TestParseEqualsCellByCellCheck:
         assert str(err.value).startswith(f"line {line}, column {column}: ")
 
 
+_EXACT_INTEGERS = [0.0, -0.0, 2.0**53 + 2, 1e22, 1.7e308]
+_INTEGER_COUNTS = st.one_of(st.sampled_from(_EXACT_INTEGERS), st.integers(0, 10**6).map(float))
+_FRACTIONAL_COUNTS = st.floats(0, 1e300, exclude_min=True).filter(lambda v: not v.is_integer())
+
+
+@st.composite
+def written_matrices(draw):
+    """Matrices whose rows hold only integer counts, only fractional counts,
+    or a mix of both."""
+    n = draw(st.integers(1, 6))
+    kinds = {
+        "integer": _INTEGER_COUNTS,
+        "fractional": _FRACTIONAL_COUNTS,
+        "mixed": st.one_of(_INTEGER_COUNTS, _FRACTIONAL_COUNTS),
+    }
+    rows = []  # each row: its publication count, then its citation counts
+    for t in range(n):
+        counts = kinds[draw(st.sampled_from(sorted(kinds)))]
+        rows.append(draw(st.lists(counts, min_size=n - t + 1, max_size=n - t + 1)))
+    return PCMatrix(1990, [row[0] for row in rows], [row[1:] for row in rows])
+
+
+def _written_cell_by_cell(m: PCMatrix) -> str:
+    lines = [",".join(["year", "pubs", *map(str, m.years)])]
+    for t, (year, pub, row) in enumerate(zip(m.years, m.pubs, m.cites)):
+        cells = [_format_count(pub), *[""] * t, *map(_format_count, row)]
+        lines.append(",".join([str(year), *cells]))
+    return "\n".join(lines) + "\n"
+
+
 class TestWrite:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixtures_roundtrip_byte_identical(self, name):
@@ -299,6 +373,12 @@ class TestWrite:
     def test_integers_written_without_decimal_point(self, v):
         m = PCMatrix(first_year=2000, pubs=(float(v),), cites=((0.0,),))
         assert f"\n2000,{v}," in write_matrix(m)
+
+    @given(written_matrices())
+    def test_equals_cell_by_cell_formatting(self, m):
+        text = write_matrix(m)
+        assert text == _written_cell_by_cell(m)
+        assert parse_matrix(text) == m
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
@@ -440,6 +520,20 @@ class TestManifest:
         with pytest.raises(ManifestError) as err:
             load_manifest(p)
         assert str(err.value) == f"{tmp_path / 'a.csv'}: line 2, column 2: not a number: '1\\x00'"
+        assert isinstance(err.value.__cause__, MatrixParseError)
+
+    @pytest.mark.parametrize("bad", ["a.csv", "t.csv"], ids=["actor", "total"])
+    def test_error_in_referenced_matrix_keeps_its_position(self, tmp_path, bad):
+        for name in ("a.csv", "t.csv"):
+            (tmp_path / name).write_text(f"year,pubs,2020\n2020,{'x' if name == bad else 1},1\n")
+        p = self._write(
+            tmp_path,
+            "[collective]\nlabel = X\ntotal = t.csv\n\n[actor]\nid = a\nlabel = A\npath = a.csv\n",
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(p)
+        assert str(err.value) == f"{tmp_path / bad}: line 2, column 2: not a number: 'x'"
+        assert (err.value.line, err.value.column) == (2, 2)
         assert isinstance(err.value.__cause__, MatrixParseError)
 
     def test_missing_matrix_file_names_path(self, tmp_path):
