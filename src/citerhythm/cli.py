@@ -20,16 +20,6 @@ from . import __version__
 from .collective import actor_vs_actor, actor_vs_collective, validate_collective
 from .errors import RhythmError
 from .ingest import build_collective, load_manifest, parse_manifest, read_matrix_file
-from .oracle import (
-    CorpusSpec,
-    aggregate,
-    brute_force_rhythm,
-    corpus_from_matrix,
-    default_age_curve,
-    generate,
-    max_relative_difference,
-    rest_corpus,
-)
 from .rhythm import RhythmSequence, cross_rhythm, internal_rhythm, sliding_windows
 
 ORACLE_TOLERANCE = 1e-9
@@ -185,6 +175,18 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Only this command loads the oracle.
+    from .oracle import (
+        CorpusSpec,
+        aggregate,
+        brute_force_rhythm,
+        corpus_from_matrix,
+        default_age_curve,
+        generate,
+        max_relative_difference,
+        rest_corpus,
+    )
+
     path = Path(args.data)
     if path.suffix == ".manifest":
         c = load_manifest(path)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
 
 from .errors import AlignmentError, SubsetError, UnknownActorError
-from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _sum_of, ck_profile, subtract
+from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _Record, _sum_of
+from .pcmatrix import ck_profile, subtract
 from .rhythm import RhythmSequence, cross_rhythm
 
 __all__ = [
@@ -55,8 +55,7 @@ def _sums_subtract_exactly(c: "Collective") -> bool:
     return all(map(float.is_integer, cells)) and sum(_cells(c.total)) < 1 / _REL_TOL
 
 
-@dataclass(frozen=True)
-class Collective:
+class Collective(_Record):
     """A named total matrix with named, disjoint constituent actors.
 
     Constituents need not cover the whole total: actors without a named
@@ -69,9 +68,12 @@ class Collective:
     mapping passed in.
     """
 
-    label: str
-    constituents: Mapping[str, PCMatrix]
-    total: PCMatrix | None = None
+    def __init__(self, label: str, constituents: Mapping[str, PCMatrix],
+                 total: PCMatrix | None = None) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "constituents", constituents)
+        object.__setattr__(self, "total", total)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.constituents:
@@ -108,30 +110,37 @@ class Collective:
             ) from None
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(_Record):
     """Two external rhythms computed against one shared complement, plus the
     per-year winner (None marks a tie or an undefined year)."""
 
-    baseline_label: str
-    sequences: dict[str, RhythmSequence]
-    per_year_winner: tuple[str | None, ...]
+    def __init__(self, baseline_label: str, sequences: dict[str, RhythmSequence],
+                 per_year_winner: tuple[str | None, ...]) -> None:
+        object.__setattr__(self, "baseline_label", baseline_label)
+        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "per_year_winner", per_year_winner)
 
     @property
     def years(self) -> tuple[int, ...]:
         return next(iter(self.sequences.values())).years
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str  # "error" | "warning" | "info"
-    code: str  # "alignment" | "partition" | "dominance" | "smallness"
-    message: str
+class Finding(_Record):
+    """One result of :func:`validate_collective`: a severity (``error``,
+    ``warning`` or ``info``), a code (``alignment``, ``partition``,
+    ``dominance`` or ``smallness``) and a message."""
+
+    def __init__(self, severity: str, code: str, message: str) -> None:
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
+class ValidationReport(_Record):
+    """The findings of :func:`validate_collective`, in the order found."""
+
+    def __init__(self, findings: tuple[Finding, ...]) -> None:
+        object.__setattr__(self, "findings", findings)
 
     @property
     def errors(self) -> tuple[Finding, ...]:

@@ -15,12 +15,11 @@ import hashlib
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .collective import Collective, validate_collective
 from .errors import DomainError, LayoutError, ManifestError, MatrixParseError, RhythmError
-from .pcmatrix import PCMatrix
+from .pcmatrix import PCMatrix, _Record
 
 __all__ = [
     "MatrixFile",
@@ -37,30 +36,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MatrixFile:
+class MatrixFile(_Record):
     """A parsed matrix together with where it came from and a checksum of
     the exact bytes that were read."""
 
-    path: Path
-    matrix: PCMatrix
-    sha256: str
+    def __init__(self, path: Path, matrix: PCMatrix, sha256: str) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "sha256", sha256)
 
 
-@dataclass(frozen=True)
-class ManifestActor:
-    actor_id: str
-    label: str
-    path: Path
+class ManifestActor(_Record):
+    """One ``[actor]`` section of a manifest: its id, label and matrix file."""
+
+    def __init__(self, actor_id: str, label: str, path: Path) -> None:
+        object.__setattr__(self, "actor_id", actor_id)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class CollectiveManifest:
-    path: Path
-    label: str
-    total_path: Path | None
-    actors: tuple[ManifestActor, ...]
-    assert_partition: bool = False
+class CollectiveManifest(_Record):
+    """A parsed manifest: its own path, the collective's label, the total's
+    matrix file (None for the constituents' sum), the actors and whether
+    they must partition the total."""
+
+    def __init__(self, path: Path, label: str, total_path: Path | None,
+                 actors: tuple[ManifestActor, ...], assert_partition: bool = False) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "total_path", total_path)
+        object.__setattr__(self, "actors", actors)
+        object.__setattr__(self, "assert_partition", assert_partition)
 
 
 def _cell_value(cell: str, line: int, column: int) -> float:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 
 from .errors import AlignmentError, DataConsistencyError, DomainError
-from .pcmatrix import CkProfile, PCMatrix
+from .pcmatrix import CkProfile, PCMatrix, _Record
 from .rhythm import RhythmPoint, RhythmSequence
 
 __all__ = [
@@ -29,14 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CitationEvent:
+class CitationEvent(_Record):
     """One citation (or a weighted bundle of identical ones): something
     published in ``published_year`` was cited in ``citing_year``."""
 
-    published_year: int
-    citing_year: int
-    weight: float = 1.0
+    def __init__(self, published_year: int, citing_year: int, weight: float = 1.0) -> None:
+        object.__setattr__(self, "published_year", published_year)
+        object.__setattr__(self, "citing_year", citing_year)
+        object.__setattr__(self, "weight", weight)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.citing_year < self.published_year:
@@ -48,14 +48,18 @@ class CitationEvent:
             raise DomainError(f"event weight must be positive, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class EventCorpus:
+class EventCorpus(_Record):
     """Per-year publication weights plus a flat list of citation events."""
 
-    first_year: int
-    pub_weights: tuple[float, ...]
-    events: tuple[CitationEvent, ...]
-    label: str = field(default="", compare=False)
+    _compared = ("first_year", "pub_weights", "events")
+
+    def __init__(self, first_year: int, pub_weights: tuple[float, ...],
+                 events: tuple[CitationEvent, ...], label: str = "") -> None:
+        object.__setattr__(self, "first_year", first_year)
+        object.__setattr__(self, "pub_weights", pub_weights)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for w in self.pub_weights:
@@ -97,7 +101,8 @@ def aggregate(corpus: EventCorpus) -> PCMatrix:
 
 def corpus_from_matrix(m: PCMatrix) -> EventCorpus:
     """Re-express a matrix as one weighted event per non-zero cell."""
-    return replace(rest_corpus(m, []), label=m.label)
+    corpus = rest_corpus(m, [])
+    return EventCorpus(corpus.first_year, corpus.pub_weights, corpus.events, m.label)
 
 
 def _remainder(count: float, parts: list[float]) -> float:
@@ -233,18 +238,20 @@ def default_age_curve(n: int) -> tuple[float, ...]:
     return tuple(r * scale for r in raw)
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_Record):
     """Shape of a synthetic corpus: window length, publications per year
     (inclusive integer range), expected citations per paper by age, and an
     optional share of "citation magnet" papers whose rates are inflated by
     a heavy-tailed factor."""
 
-    n: int
-    pubs_range: tuple[int, int]
-    age_curve: tuple[float, ...]
-    first_year: int = 2000
-    magnet_share: float = 0.0
+    def __init__(self, n: int, pubs_range: tuple[int, int], age_curve: tuple[float, ...],
+                 first_year: int = 2000, magnet_share: float = 0.0) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pubs_range", pubs_range)
+        object.__setattr__(self, "age_curve", age_curve)
+        object.__setattr__(self, "first_year", first_year)
+        object.__setattr__(self, "magnet_share", magnet_share)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 1:

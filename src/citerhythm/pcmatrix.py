@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, islice, zip_longest
 
@@ -35,12 +34,43 @@ __all__ = [
 ]
 
 
+class _Record:
+    """Base of the package's immutable records. A record's fields are the
+    parameters of its ``__init__``, in order, which sets each one with
+    ``object.__setattr__``; ``==`` and ``hash`` use the fields named in
+    ``_compared``, all of them when a record names none."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        # The compared values as a tuple, or the value itself for one field.
+        cls._key = operator.attrgetter(*getattr(cls, "_compared", cls._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _pairwise(op, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(map(op, a, b))
 
 
-@dataclass(frozen=True)
-class Sums:
+class Sums(_Record):
     """The additive statistics a rhythm needs from a p-c matrix.
 
     ``pubs[t]`` is year t's publication count, ``rows[t]`` that year's
@@ -51,9 +81,11 @@ class Sums:
     the same window.
     """
 
-    pubs: tuple[float, ...]
-    rows: tuple[float, ...]
-    diagonals: tuple[float, ...]
+    def __init__(self, pubs: tuple[float, ...], rows: tuple[float, ...],
+                 diagonals: tuple[float, ...]) -> None:
+        object.__setattr__(self, "pubs", pubs)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "diagonals", diagonals)
 
     def __add__(self, other: "Sums") -> "Sums":
         return Sums(
@@ -101,8 +133,7 @@ def _counts(values: Iterable[float], what: str) -> tuple[float, ...]:
     return counts
 
 
-@dataclass(frozen=True)
-class PCMatrix:
+class PCMatrix(_Record):
     """Upper-triangular publication-citation table for one actor.
 
     ``pubs[t]`` is the publication count of year ``first_year + t``;
@@ -112,10 +143,15 @@ class PCMatrix:
     Instances are immutable and safe to share between threads.
     """
 
-    first_year: int
-    pubs: tuple[float, ...]
-    cites: tuple[tuple[float, ...], ...]
-    label: str = field(default="", compare=False)
+    _compared = ("first_year", "pubs", "cites")
+
+    def __init__(self, first_year: int, pubs: tuple[float, ...],
+                 cites: tuple[tuple[float, ...], ...], label: str = "") -> None:
+        object.__setattr__(self, "first_year", first_year)
+        object.__setattr__(self, "pubs", pubs)
+        object.__setattr__(self, "cites", cites)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pubs = _counts(self.pubs, "publication count")
@@ -217,14 +253,17 @@ class PCMatrix:
         return Sums(pubs=self.pubs, rows=rows, diagonals=diagonals)
 
 
-@dataclass(frozen=True)
-class CkProfile:
+class CkProfile(_Record):
     """Average citations per paper in the k-th year after publication
     (k = 1 is the publication year itself), one value per year of the
     source matrix's window."""
 
-    values: tuple[float, ...]
-    source_label: str = field(default="", compare=False)
+    _compared = ("values",)
+
+    def __init__(self, values: tuple[float, ...], source_label: str = "") -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "source_label", source_label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _counts(self.values, "profile value"))

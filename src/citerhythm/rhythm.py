@@ -10,11 +10,10 @@ against that other matrix's citation level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import AlignmentError, DomainError, WindowError
-from .pcmatrix import CkProfile, PCMatrix, _check_aligned, ck_profile
+from .pcmatrix import CkProfile, PCMatrix, _check_aligned, _Record, ck_profile
 
 __all__ = [
     "RhythmPoint",
@@ -27,20 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RhythmPoint:
+class RhythmPoint(_Record):
     """One publication year: observed citations, expected citations, and
     their ratio. The ratio is None exactly when expected is 0 (it is never
     coerced to 0 or infinity)."""
 
-    year: int
-    observed: float
-    expected: float
-    ratio: float | None
+    def __init__(self, year: int, observed: float, expected: float, ratio: float | None) -> None:
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "ratio", ratio)
 
 
-@dataclass(frozen=True)
-class RhythmSequence:
+class RhythmSequence(_Record):
     """A full R-sequence with its two summary indicators and the per-age
     profile its expected values were computed from.
 
@@ -50,12 +48,14 @@ class RhythmSequence:
     :func:`summary_i2_lenient` for the average over defined years only.
     """
 
-    points: tuple[RhythmPoint, ...]
-    observed_label: str
-    profile: CkProfile
-    i1: float | None
-    i2: float | None
-    undefined_years: tuple[int, ...]
+    def __init__(self, points: tuple[RhythmPoint, ...], observed_label: str, profile: CkProfile,
+                 i1: float | None, i2: float | None, undefined_years: tuple[int, ...]) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "observed_label", observed_label)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "i1", i1)
+        object.__setattr__(self, "i2", i2)
+        object.__setattr__(self, "undefined_years", undefined_years)
 
     @property
     def expectation_label(self) -> str:
@@ -78,11 +78,11 @@ class RhythmSequence:
         return sum(p.expected for p in self.points)
 
 
-@dataclass(frozen=True)
-class WindowSeries:
+class WindowSeries(_Record):
     """Rhythms of consecutive equal-width sub-windows, oldest start first."""
 
-    entries: tuple[tuple[int, RhythmSequence], ...]
+    def __init__(self, entries: tuple[tuple[int, RhythmSequence], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
 
 def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:

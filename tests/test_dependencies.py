@@ -5,7 +5,10 @@ imports only public names from the package, so each rule it relies on lives
 behind one module's public interface. No module reads the environment, so a
 command's output depends on its arguments and input files alone. Each
 module's ``__all__`` is the only list of its public names: the package
-re-exports those lists, and ``chart`` loads only where a command draws svg."""
+re-exports those lists. A process loads only what its command runs: no
+module imports ``dataclasses``, ``chart`` loads only where a command draws
+svg, and ``oracle`` only for ``oracle-check`` or on first use of one of its
+names through the package."""
 
 import ast
 import importlib
@@ -68,6 +71,69 @@ def test_module_api_is_defined_in_that_module(name):
     assert foreign == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"line {line}: {name}"
+        for line, name in _imported_modules(tree)
+        if name.partition(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", [*API_MODULES, "chart"])
+def test_public_classes_have_their_own_docstring(name):
+    module = importlib.import_module(f"citerhythm.{name}")
+    classes = [obj for obj in map(vars(module).get, module.__all__) if isinstance(obj, type)]
+    bare = [c.__name__ for c in classes if not c.__doc__ or c.__doc__.startswith(c.__name__ + "(")]
+    assert bare == []
+
+
+def _probe(code: str, *argv: str) -> list[str]:
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+
+
+def test_package_import_leaves_oracle_unloaded():
+    probe = "import sys, citerhythm; print('citerhythm.oracle' in sys.modules)"
+    assert _probe(probe) == ["False"]
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        "from citerhythm import CorpusSpec",
+        "names = citerhythm.__all__",
+        "names = dir(citerhythm)",
+        "from citerhythm import *",
+        "module = citerhythm.oracle",
+    ],
+)
+def test_first_use_of_an_oracle_name_loads_the_oracle(use):
+    probe = (
+        "import sys, citerhythm; before = 'citerhythm.oracle' in sys.modules; "
+        f"{use}; after = 'citerhythm.oracle' in sys.modules; "
+        "from citerhythm import oracle; "
+        "served = all(n in citerhythm.__all__ and n in dir(citerhythm) "
+        "and getattr(citerhythm, n) is getattr(oracle, n) for n in oracle.__all__); "
+        "print(before, after, served)"
+    )
+    assert _probe(probe) == ["False", "True", "True"]
+
+
+def test_unknown_package_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        citerhythm.no_such_name
+    with pytest.raises(AttributeError, match="__no_such_name__"):
+        citerhythm.__no_such_name__
+
+
 def test_package_import_leaves_chart_unloaded():
     probe = "import sys, citerhythm; print('citerhythm.chart' in sys.modules)"
     out = subprocess.run(
@@ -104,6 +170,24 @@ def test_only_svg_output_loads_chart(tmp_path, command, fmt):
         check=True,
     ).stdout
     assert out.split() == ["0", str(fmt == "svg")]
+
+
+ALL_COMMANDS = {
+    "validate": ["validate", str(FIXTURES / "scim.manifest")],
+    **COMMANDS,
+    "windows": ["windows", str(FIXTURES / "china.csv"), "--width", "5"],
+    "oracle-check": ["oracle-check", str(FIXTURES / "scim.manifest"), "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_only_oracle_check_loads_the_oracle(command):
+    probe = (
+        "import sys; from citerhythm.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'citerhythm.oracle' in sys.modules)"
+    )
+    out = _probe(probe, *ALL_COMMANDS[command])
+    assert out[-2:] == ["0", str(command == "oracle-check")]
 
 
 def test_cli_imports_only_public_names():
