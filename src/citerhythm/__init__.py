@@ -3,16 +3,16 @@ publication-citation matrices, for comparing an actor with its collective
 or two actors with each other on equal citation-window footing.
 
 Each module's ``__all__`` is its public API. The package re-exports the
-library modules' lists. :mod:`citerhythm.oracle` loads on first use of one
-of its names (or of ``__all__``); :mod:`citerhythm.chart` and
-:mod:`citerhythm.cli` load only when imported."""
+library modules' lists. ``import citerhythm`` loads ``pcmatrix``, ``rhythm``,
+``ingest`` and ``errors``. ``collective`` loads on first use of one of its
+names, ``oracle`` on first use of one of its own, and both on first use of
+``__all__``; ``chart`` and ``cli`` load only when imported."""
 
 __version__ = "0.1.0"
 
 import importlib
 
-from . import collective, errors, ingest, pcmatrix, rhythm
-from .collective import *  # noqa: F403
+from . import errors, ingest, pcmatrix, rhythm
 from .errors import *  # noqa: F403
 from .ingest import *  # noqa: F403
 from .pcmatrix import *  # noqa: F403
@@ -20,14 +20,18 @@ from .rhythm import *  # noqa: F403
 
 
 def __getattr__(name: str) -> object:
-    # PEP 562: the first use of one of the oracle's names, or of __all__,
-    # loads the oracle. ``from . import oracle`` would call this hook again.
+    # PEP 562, for names not yet in the package: load the lazy modules in
+    # order up to the first that defines ``name`` and copy in all their names,
+    # so later uses are plain reads. ``from . import oracle`` would recurse.
     if not name.startswith("__") or name == "__all__":
-        oracle = importlib.import_module(".oracle", __name__)
-        globals().update({n: getattr(oracle, n) for n in oracle.__all__})
-        modules = (pcmatrix, rhythm, collective, ingest, oracle, errors)
-        globals()["__all__"] = ["__version__", *(n for m in modules for n in m.__all__)]
-        if name in globals():
+        for lazy in ("collective", "oracle"):
+            module = importlib.import_module(f".{lazy}", __name__)
+            globals().update({n: getattr(module, n) for n in module.__all__})
+            if name in globals():
+                return globals()[name]
+        order = ("pcmatrix", "rhythm", "collective", "ingest", "oracle", "errors")
+        globals()["__all__"] = ["__version__", *(n for m in order for n in globals()[m].__all__)]
+        if name == "__all__":
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -4,6 +4,8 @@ Subcommands: validate, internal, external, compare, windows, oracle-check.
 Internal analyses take a bare matrix CSV; external and pairwise analyses
 take a manifest, so the rest of the collective always comes from a
 validated collective. Output formats: text (default), csv, svg (charts).
+Only commands that read a manifest load ``collective``, only svg output
+loads ``chart`` and only ``oracle-check`` loads ``oracle``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from . import __version__
-from .collective import actor_vs_actor, actor_vs_collective, validate_collective
 from .errors import RhythmError
-from .ingest import build_collective, load_manifest, parse_manifest, read_matrix_file
+from .ingest import parse_manifest, read_matrix_file
 from .rhythm import RhythmSequence, cross_rhythm, internal_rhythm, sliding_windows
 
 ORACLE_TOLERANCE = 1e-9
@@ -114,6 +115,8 @@ def _emit_rhythm(
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .collective import build_collective, validate_collective
+
     manifest = parse_manifest(args.manifest)
     c = build_collective(manifest)
     report = validate_collective(c, assert_partition=manifest.assert_partition)
@@ -137,6 +140,8 @@ def _cmd_internal(args: argparse.Namespace) -> int:
 
 
 def _cmd_external(args: argparse.Namespace) -> int:
+    from .collective import actor_vs_collective, load_manifest
+
     c = load_manifest(args.manifest)
     seq = actor_vs_collective(c, args.actor)
     title = f"External rhythm: {seq.observed_label} vs {seq.expectation_label}"
@@ -144,6 +149,8 @@ def _cmd_external(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .collective import actor_vs_actor, load_manifest
+
     a, b = args.actor_a, args.actor_b
     result = actor_vs_actor(load_manifest(args.manifest), a, b)
     seq_a, seq_b = result.sequences[a], result.sequences[b]
@@ -175,7 +182,7 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    # Only this command loads the oracle.
+    from .collective import actor_vs_collective, load_manifest
     from .oracle import (
         CorpusSpec,
         aggregate,

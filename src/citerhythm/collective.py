@@ -8,6 +8,11 @@ different baselines by construction. The complement is the true rest only
 if no paper counts in two constituents. Construction checks what the
 matrices show of this, that the constituents fit inside the total
 together; overlap that still fits goes unseen.
+
+:func:`load_manifest` builds a collective from a manifest that ``ingest``
+parses; ``ingest`` never imports this module. Other modules' functions are
+called through their module (``rhythm.cross_rhythm``), so a wrapper set on
+a module attribute, as ``perfbench``'s tracer sets, is reached and not kept.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from itertools import chain
+from pathlib import Path
 from types import MappingProxyType
 
-from .errors import AlignmentError, SubsetError, UnknownActorError
+from . import ingest, pcmatrix, rhythm
+from .errors import AlignmentError, ManifestError, RhythmError, SubsetError, UnknownActorError
 from .pcmatrix import CkProfile, PCMatrix, _REL_TOL, _first_excess, _Record, _sum_of
-from .pcmatrix import ck_profile, subtract
-from .rhythm import RhythmSequence, cross_rhythm
+from .rhythm import RhythmSequence
 
 __all__ = [
     "Collective",
@@ -31,6 +37,8 @@ __all__ = [
     "actor_vs_collective",
     "actor_vs_actor",
     "validate_collective",
+    "build_collective",
+    "load_manifest",
     "DEFAULT_TIE_TOLERANCE",
     "DEFAULT_DOMINANCE_SHARE",
     "DEFAULT_MIN_COMPLEMENT_PUBS",
@@ -65,7 +73,9 @@ class Collective(_Record):
     counts) or the largest float; a total of None stands for the sum. It
     also decides whether comparisons can take the rest from per-matrix
     sums, in O(n). Immutable: the constituents are a read-only copy of the
-    mapping passed in.
+    mapping passed in. Copies and unpickled collectives are built again from
+    ``(label, dict(constituents), total)``, so they re-run the containment
+    check (about 9 ms for 100 constituents of 30 years).
     """
 
     def __init__(self, label: str, constituents: Mapping[str, PCMatrix],
@@ -95,6 +105,9 @@ class Collective(_Record):
         if excess is not None:
             raise SubsetError(f"{self.label}: constituents sum past the total at {excess}")
         object.__setattr__(self, "_sums_exact", _sums_subtract_exactly(self))
+
+    def __reduce__(self) -> tuple:
+        return Collective, (self.label, dict(self.constituents), self.total)
 
     @property
     def actor_ids(self) -> tuple[str, ...]:
@@ -164,7 +177,7 @@ def complement(c: Collective, actor_ids: Iterable[str]) -> PCMatrix:
     ids = sorted(set(actor_ids))
     if not ids:
         raise ValueError("actor_ids must name at least one actor")
-    rest = subtract(c.total, _sum_of(c.actor(actor_id) for actor_id in ids))
+    rest = pcmatrix.subtract(c.total, _sum_of(c.actor(actor_id) for actor_id in ids))
     return rest.relabeled(_rest_label(c, ids))
 
 
@@ -174,7 +187,7 @@ def _rest_profile(c: Collective, actor_ids: set[str]) -> CkProfile:
     actors' sums and builds no matrix."""
     ids = sorted(actor_ids)
     if not c._sums_exact:
-        return ck_profile(complement(c, ids))
+        return pcmatrix.ck_profile(complement(c, ids))
     removed = [c.actor(actor_id).sums for actor_id in ids]
     rest = c.total.sums - sum(removed[1:], removed[0])
     return rest.profile(_rest_label(c, ids))
@@ -186,7 +199,7 @@ def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
     A yearly ratio above 1 means the actor outperformed the collective's
     average citation level that year; below 1, it lagged it.
     """
-    return cross_rhythm(c.actor(actor_id), _rest_profile(c, {actor_id}))
+    return rhythm.cross_rhythm(c.actor(actor_id), _rest_profile(c, {actor_id}))
 
 
 def actor_vs_actor(c: Collective, u: str, v: str) -> ComparisonResult:
@@ -197,8 +210,8 @@ def actor_vs_actor(c: Collective, u: str, v: str) -> ComparisonResult:
     if u == v:
         raise ValueError(f"cannot compare actor {u!r} with itself")
     baseline = _rest_profile(c, {u, v})
-    seq_u = cross_rhythm(c.actor(u), baseline)
-    seq_v = cross_rhythm(c.actor(v), baseline)
+    seq_u = rhythm.cross_rhythm(c.actor(u), baseline)
+    seq_v = rhythm.cross_rhythm(c.actor(v), baseline)
     winners: list[str | None] = []
     for pu, pv in zip(seq_u.points, seq_v.points):
         if pu.ratio is None or pv.ratio is None:
@@ -267,3 +280,46 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
             )
 
     return ValidationReport(tuple(findings))
+
+
+def _read_referenced(path: Path, label: str) -> PCMatrix:
+    """The matrix at ``path``; any error reading or parsing it becomes a
+    :class:`ManifestError` that names the file and keeps the position in it."""
+    try:
+        return ingest.read_matrix_file(path, label=label).matrix
+    except OSError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+    except RhythmError as exc:
+        error = ManifestError(f"{path}: {exc}")
+        error.line, error.column = exc.line, exc.column
+        raise error from exc
+
+
+def build_collective(manifest: ingest.CollectiveManifest) -> Collective:
+    """Load every referenced matrix and assemble the collective without
+    :func:`validate_collective`. The constituents must still share the total's
+    window and fit inside it; where they do not, the :class:`AlignmentError`
+    or :class:`SubsetError` becomes a :class:`ManifestError` that names the
+    manifest."""
+    constituents = {
+        a.actor_id: _read_referenced(a.path, a.label) for a in manifest.actors
+    }
+    total = None
+    if manifest.total_path is not None:
+        total = _read_referenced(manifest.total_path, manifest.label)
+    try:
+        return Collective(manifest.label, constituents, total)
+    except RhythmError as exc:
+        raise ManifestError(f"{manifest.path}: {exc}") from exc
+
+
+def load_manifest(path: str | Path) -> Collective:
+    """Parse a manifest, load its matrices, validate, and return the
+    collective. Error-severity findings raise; warnings do not."""
+    manifest = ingest.parse_manifest(path)
+    c = build_collective(manifest)
+    report = validate_collective(c, assert_partition=manifest.assert_partition)
+    if not report.ok:
+        problems = "; ".join(f.message for f in report.errors)
+        raise ManifestError(f"manifest {path} failed validation: {problems}")
+    return c

@@ -1,4 +1,5 @@
-"""Matrix CSV and collective-manifest I/O, plus the bundled fixture corpus.
+"""Matrix CSV and collective-manifest parsing, plus the bundled fixture corpus.
+:func:`citerhythm.collective.load_manifest` builds collectives on top of it.
 
 Matrix CSV layout mirrors the way p-c tables are usually printed: one data
 row per publication year (ascending), citing years as columns, and blank
@@ -11,13 +12,12 @@ corresponding-author country.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import re
 from collections.abc import Iterator
+from functools import cached_property
 from pathlib import Path
 
-from .collective import Collective, validate_collective
 from .errors import DomainError, LayoutError, ManifestError, MatrixParseError, RhythmError
 from .pcmatrix import PCMatrix, _Record
 
@@ -30,20 +30,26 @@ __all__ = [
     "read_matrix",
     "read_matrix_file",
     "parse_manifest",
-    "build_collective",
-    "load_manifest",
     "fixture_path",
 ]
 
 
 class MatrixFile(_Record):
-    """A parsed matrix together with where it came from and a checksum of
-    the exact bytes that were read."""
+    """A parsed matrix together with where it came from and the exact bytes
+    that were read (``data``, a byte order mark included)."""
 
-    def __init__(self, path: Path, matrix: PCMatrix, sha256: str) -> None:
+    def __init__(self, path: Path, matrix: PCMatrix, data: bytes) -> None:
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "sha256", sha256)
+        object.__setattr__(self, "data", data)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex SHA-256 of ``data``. Computed on first access, so a process
+        that reads no checksum does not load OpenSSL."""
+        import hashlib
+
+        return hashlib.sha256(self.data).hexdigest()
 
 
 class ManifestActor(_Record):
@@ -224,7 +230,7 @@ def read_matrix_file(path: str | Path, label: str | None = None) -> MatrixFile:
     path = Path(path)
     raw = path.read_bytes()
     matrix = parse_matrix(_decode(raw, MatrixParseError), label=label or path.stem)
-    return MatrixFile(path=path, matrix=matrix, sha256=hashlib.sha256(raw).hexdigest())
+    return MatrixFile(path=path, matrix=matrix, data=raw)
 
 
 _COLLECTIVE_KEYS = ("label", "total", "assert_partition")
@@ -314,49 +320,6 @@ def parse_manifest(path: str | Path) -> CollectiveManifest:
         actors=tuple(parsed_actors),
         assert_partition=flag == "true",
     )
-
-
-def _read_referenced(path: Path, label: str) -> PCMatrix:
-    """The matrix at ``path``; any error reading or parsing it becomes a
-    :class:`ManifestError` that names the file and keeps the position in it."""
-    try:
-        return read_matrix_file(path, label=label).matrix
-    except OSError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
-    except RhythmError as exc:
-        error = ManifestError(f"{path}: {exc}")
-        error.line, error.column = exc.line, exc.column
-        raise error from exc
-
-
-def build_collective(manifest: CollectiveManifest) -> Collective:
-    """Load every referenced matrix and assemble the collective without
-    :func:`validate_collective`. The constituents must still share the total's
-    window and fit inside it; where they do not, the :class:`AlignmentError`
-    or :class:`SubsetError` becomes a :class:`ManifestError` that names the
-    manifest."""
-    constituents = {
-        a.actor_id: _read_referenced(a.path, a.label) for a in manifest.actors
-    }
-    total = None
-    if manifest.total_path is not None:
-        total = _read_referenced(manifest.total_path, manifest.label)
-    try:
-        return Collective(manifest.label, constituents, total)
-    except RhythmError as exc:
-        raise ManifestError(f"{manifest.path}: {exc}") from exc
-
-
-def load_manifest(path: str | Path) -> Collective:
-    """Parse a manifest, load its matrices, validate, and return the
-    collective. Error-severity findings raise; warnings do not."""
-    manifest = parse_manifest(path)
-    c = build_collective(manifest)
-    report = validate_collective(c, assert_partition=manifest.assert_partition)
-    if not report.ok:
-        problems = "; ".join(f.message for f in report.errors)
-        raise ManifestError(f"manifest {path} failed validation: {problems}")
-    return c
 
 
 def read_matrix(path: str | Path, label: str | None = None) -> PCMatrix:

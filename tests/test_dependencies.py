@@ -6,9 +6,13 @@ behind one module's public interface. No module reads the environment, so a
 command's output depends on its arguments and input files alone. Each
 module's ``__all__`` is the only list of its public names: the package
 re-exports those lists. A process loads only what its command runs: no
-module imports ``dataclasses``, ``chart`` loads only where a command draws
-svg, and ``oracle`` only for ``oracle-check`` or on first use of one of its
-names through the package."""
+module imports ``dataclasses``, no command loads ``hashlib``, ``chart``
+loads only where a command draws svg, ``collective`` only for the commands
+that read a manifest or on first use of one of its names through the
+package (``ingest`` does not import it), and ``oracle`` only for
+``oracle-check`` or on first use of one of its names. ``collective`` calls
+other modules' functions through the module, so replacing and restoring a
+module attribute while it loads leaves it no copy of the replacement."""
 
 import ast
 import importlib
@@ -127,6 +131,77 @@ def test_first_use_of_an_oracle_name_loads_the_oracle(use):
     assert _probe(probe) == ["False", "True", "True"]
 
 
+@pytest.mark.parametrize("module", ["citerhythm.collective", "hashlib", "_hashlib"])
+def test_package_import_leaves_module_unloaded(module):
+    probe = f"import sys, citerhythm; print({module!r} in sys.modules)"
+    assert _probe(probe) == ["False"]
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        "from citerhythm import Collective",
+        "function = citerhythm.load_manifest",
+        "module = citerhythm.collective",
+    ],
+)
+def test_first_use_of_a_collective_name_loads_the_collective_alone(use):
+    probe = (
+        "import sys, citerhythm; before = 'citerhythm.collective' in sys.modules; "
+        f"{use}; after = 'citerhythm.collective' in sys.modules; "
+        "oracle = 'citerhythm.oracle' in sys.modules; "
+        "from citerhythm import collective; "
+        "copied = all(vars(citerhythm).get(n) is getattr(collective, n) "
+        "for n in collective.__all__); "
+        "print(before, after, oracle, copied)"
+    )
+    assert _probe(probe) == ["False", "True", "False", "True"]
+
+
+@pytest.mark.parametrize(
+    "use", ["names = citerhythm.__all__", "names = dir(citerhythm)", "from citerhythm import *"]
+)
+def test_first_use_of_the_whole_api_gives_every_name_in_module_order(use):
+    probe = (
+        "import importlib, sys, citerhythm; "
+        f"{use}; "
+        "modules = [importlib.import_module(f'citerhythm.{m}') for m in sys.argv[1:]]; "
+        "expected = ['__version__', *(n for m in modules for n in m.__all__)]; "
+        "star = {}; exec('from citerhythm import *', star); "
+        "print(citerhythm.__all__ == expected, list(star)[1:] == expected, "
+        "set(expected) <= set(dir(citerhythm)))"
+    )
+    assert _probe(probe, *API_MODULES) == ["True", "True", "True"]
+
+
+def test_ingest_does_not_import_the_collective():
+    path = ROOT / "src" / "citerhythm" / "ingest.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "collective" in {
+            *(getattr(node, "module", None) or "").split("."),
+            *(part for alias in node.names for part in alias.name.split(".")),
+        }
+    ]
+    assert found == []
+
+
+def test_collective_keeps_no_copy_of_a_function_replaced_while_it_loads():
+    probe = (
+        "from citerhythm import fixture_path, rhythm; original = rhythm.cross_rhythm; "
+        "calls = []; rhythm.cross_rhythm = lambda *a: calls.append(a) or original(*a); "
+        "import citerhythm.collective as collective; "
+        "c = collective.load_manifest(fixture_path('scim.manifest')); "
+        "collective.actor_vs_collective(c, 'china'); patched = len(calls); "
+        "rhythm.cross_rhythm = original; "
+        "collective.actor_vs_collective(c, 'china'); print(patched, len(calls))"
+    )
+    assert _probe(probe) == ["1", "1"]
+
+
 def test_unknown_package_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         citerhythm.no_such_name
@@ -188,6 +263,28 @@ def test_only_oracle_check_loads_the_oracle(command):
     )
     out = _probe(probe, *ALL_COMMANDS[command])
     assert out[-2:] == ["0", str(command == "oracle-check")]
+
+
+MANIFEST_COMMANDS = {"validate", "external", "compare", "oracle-check"}
+FORMAT_RUNS = {
+    **ALL_COMMANDS,
+    **{
+        f"{command}/{fmt}": ALL_COMMANDS[command] + ["--format", fmt]
+        for command, formats in (("internal", ("csv", "svg")), ("windows", ("csv",)))
+        for fmt in formats
+    },
+}
+
+
+@pytest.mark.parametrize("run", FORMAT_RUNS)
+def test_only_manifest_commands_load_the_collective_and_none_loads_hashlib(run):
+    probe = (
+        "import sys; from citerhythm.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'citerhythm.collective' in sys.modules, "
+        "'hashlib' in sys.modules or '_hashlib' in sys.modules)"
+    )
+    out = _probe(probe, *FORMAT_RUNS[run])
+    assert out[-3:] == ["0", str(run.partition("/")[0] in MANIFEST_COMMANDS), "False"]
 
 
 def test_cli_imports_only_public_names():

@@ -1,8 +1,10 @@
 """The package's records are immutable values: construction by position or
 keyword with their defaults, equality and hashing over the compared fields,
-the exact repr, no assignment or deletion, and copy and pickle round trips."""
+the exact repr, no assignment or deletion, and copy, deep copy and pickle
+round trips."""
 
 import copy
+import hashlib
 import pickle
 from pathlib import Path
 from types import MappingProxyType
@@ -26,6 +28,9 @@ from citerhythm import (
     Sums,
     ValidationReport,
     WindowSeries,
+    actor_vs_collective,
+    fixture_path,
+    load_manifest,
 )
 
 M = PCMatrix(2000, (1.0, 2.0), ((3.0, 1.0), (4.0,)), "m")
@@ -136,11 +141,11 @@ CASES = {
     ),
     "MatrixFile": (
         MatrixFile,
-        ("path", "matrix", "sha256"),
-        (Path("a.csv"), M, "ab12"),
-        (Path("b.csv"), M2, "cd34"),
+        ("path", "matrix", "data"),
+        (Path("a.csv"), M, b"ab12"),
+        (Path("b.csv"), M2, b"cd34"),
         {},
-        f"MatrixFile(path={P}, matrix={M_REPR}, sha256='ab12')",
+        f"MatrixFile(path={P}, matrix={M_REPR}, data=b'ab12')",
     ),
     "ManifestActor": (
         ManifestActor,
@@ -188,7 +193,6 @@ CASES = {
 }
 UNCOMPARED = {"PCMatrix": {"label"}, "CkProfile": {"source_label"}, "EventCorpus": {"label"}}
 UNHASHABLE = {"Collective", "ComparisonResult"}
-UNPICKLABLE = {"Collective"}  # its constituents are a read-only mappingproxy
 
 names = pytest.mark.parametrize("name", CASES)
 
@@ -279,15 +283,11 @@ def test_copy_and_pickle(name):
     record = make(name)
     duplicate = copy.copy(record)
     assert duplicate == record and repr(duplicate) == repr(record)
-    if name in UNPICKLABLE:
-        with pytest.raises(TypeError):
-            pickle.dumps(record)
-        return
-    restored = pickle.loads(pickle.dumps(record))
-    assert type(restored) is type(record)
-    assert restored == record and repr(restored) == repr(record)
-    with pytest.raises(AttributeError):
-        setattr(restored, CASES[name][1][0], CASES[name][3][0])
+    for restored in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(restored) is type(record)
+        assert restored == record and repr(restored) == repr(record)
+        with pytest.raises(AttributeError):
+            setattr(restored, CASES[name][1][0], CASES[name][3][0])
 
 
 def test_collective_constituents_are_read_only():
@@ -295,6 +295,24 @@ def test_collective_constituents_are_read_only():
     assert isinstance(c.constituents, MappingProxyType)
     with pytest.raises(TypeError):
         c.constituents["b"] = M
+
+
+def test_collective_copies_are_rebuilt_read_only_and_compare_alike():
+    c = load_manifest(fixture_path("scim.manifest"))
+    for restored in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert restored == c and restored._sums_exact == c._sums_exact
+        assert isinstance(restored.constituents, MappingProxyType)
+        with pytest.raises(TypeError):
+            restored.constituents["b"] = M
+        assert actor_vs_collective(restored, "china") == actor_vs_collective(c, "china")
+
+
+def test_matrix_file_checksum_is_computed_once_from_the_data():
+    record = make("MatrixFile")
+    assert "sha256" not in vars(record)
+    assert record.sha256 == hashlib.sha256(b"ab12").hexdigest()
+    assert record.sha256 is record.sha256
+    assert copy.copy(record).sha256 == pickle.loads(pickle.dumps(record)).sha256 == record.sha256
 
 
 def test_matrix_sums_are_cached_and_survive_copies():
