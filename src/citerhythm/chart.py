@@ -45,7 +45,7 @@ def line_chart(title: str, sequences: list[tuple[str, RhythmSequence]]) -> str:
     starts at 0 and leaves 10% headroom above the largest ratio."""
     years = sequences[0][1].years
     lines = [
-        (label, [(p.year, p.ratio) for p in seq.points if p.ratio is not None])
+        (label, [(y, r) for y, r in zip(seq.years, seq.ratios) if r is not None])
         for label, seq in sequences
     ]
     dashes = [' stroke-dasharray="6,4"', ""] if len(lines) == 2 else [""] * len(lines)

@@ -99,8 +99,10 @@ def _emit_rhythm(
         return _emit_chart(args, title, [(seq.observed_label or "ratio", seq)])
     headers = ["year", "observed", "ck", "expected", "ratio"]
     rows = [
-        [str(p.year), p.observed, ck, p.expected, p.ratio]
-        for p, ck in zip(seq.points, seq.profile.values)
+        [str(year), observed, ck, expected, ratio]
+        for year, observed, ck, expected, ratio in zip(
+            seq.years, seq.observed, seq.profile.values, seq.expected, seq.ratios
+        )
     ]
     if pubs is not None:
         headers.insert(1, "pubs")
@@ -158,11 +160,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "svg":
         return _emit_chart(args, title, [(a, seq_a), (b, seq_b)])
     rows: list[list[float | str | None]] = []
-    for pa, pb, winner in zip(seq_a.points, seq_b.points, result.per_year_winner):
+    for year, ra, rb, winner in zip(seq_a.years, seq_a.ratios, seq_b.ratios,
+                                    result.per_year_winner):
         # No winner is a tie, or undefined where either ratio is.
-        if winner is None and None not in (pa.ratio, pb.ratio):
+        if winner is None and None not in (ra, rb):
             winner = "tie"
-        rows.append([str(pa.year), pa.ratio, pb.ratio, winner])
+        rows.append([str(year), ra, rb, winner])
     csv_footers = [["I1", seq_a.i1, seq_b.i1], ["I2", seq_a.i2, seq_b.i2]]
     text_footers = [
         [f"{actor}: I1 = ", seq.i1, ", I2 = ", seq.i2] for actor, seq in ((a, seq_a), (b, seq_b))

@@ -12,7 +12,7 @@ import random
 
 from .errors import AlignmentError, DataConsistencyError, DomainError
 from .pcmatrix import CkProfile, PCMatrix, _Record
-from .rhythm import RhythmPoint, RhythmSequence
+from .rhythm import RhythmSequence
 
 __all__ = [
     "CitationEvent",
@@ -152,7 +152,8 @@ def brute_force_rhythm(
 
     Internal mode when ``corpus_a`` is omitted; otherwise the per-age
     averages come from ``corpus_a``. Deliberately naive and independent of
-    the matrix-based implementation.
+    the matrix-based implementation: it fills the sequence's year,
+    observed, expected and ratio columns with loops of its own.
     """
     n = corpus_b.n
     first = corpus_b.first_year
@@ -187,36 +188,40 @@ def brute_force_rhythm(
         else:
             per_age_average.append(cited_weight / paper_weight)
 
-    points = []
+    years = []
+    expected = []
+    ratios = []
     undefined = []
     for t in range(n):
         cumulative = 0.0
         for k in range(n - t):
             cumulative += per_age_average[k]
-        expected = corpus_b.pub_weights[t] * cumulative
-        ratio = observed[t] / expected if expected > 0 else None
+        expected.append(corpus_b.pub_weights[t] * cumulative)
+        ratio = observed[t] / expected[t] if expected[t] > 0 else None
         year = first + t
         if ratio is None:
             undefined.append(year)
-        points.append(
-            RhythmPoint(year=year, observed=observed[t], expected=expected, ratio=ratio)
-        )
+        years.append(year)
+        ratios.append(ratio)
 
     total_observed = 0.0
     total_expected = 0.0
-    for p in points:
-        total_observed += p.observed
-        total_expected += p.expected
+    for t in range(n):
+        total_observed += observed[t]
+        total_expected += expected[t]
     i1 = total_observed / total_expected if total_expected > 0 else None
     i2 = None
     if not undefined:
         acc = 0.0
-        for p in points:
-            acc += p.ratio
+        for ratio in ratios:
+            acc += ratio
         i2 = acc / n
 
     return RhythmSequence(
-        points=tuple(points),
+        years=tuple(years),
+        observed=tuple(observed),
+        expected=tuple(expected),
+        ratios=tuple(ratios),
         observed_label=corpus_b.label,
         profile=CkProfile(tuple(per_age_average), expectation.label),
         i1=i1,
@@ -339,6 +344,6 @@ def max_relative_difference(a: RhythmSequence, b: RhythmSequence) -> float:
     if a.years != b.years:
         return math.inf
     worst = max(_rel_diff(a.i1, b.i1), _rel_diff(a.i2, b.i2))
-    for pa, pb in zip(a.points, b.points):
-        worst = max(worst, _rel_diff(pa.ratio, pb.ratio))
+    for ra, rb in zip(a.ratios, b.ratios):
+        worst = max(worst, _rel_diff(ra, rb))
     return worst

@@ -5,11 +5,16 @@ A rhythm is internal when observed and expected values come from one matrix
 its publication years, so the totals balance) and cross when the per-age
 averages come from a second matrix, which turns the ratio into a comparison
 against that other matrix's citation level.
+
+A sequence stores its years, observed and expected values and ratios as
+columns; per-year :class:`RhythmPoint` records are built only when its
+``points`` are read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate
 
 from .errors import AlignmentError, DomainError, WindowError
@@ -39,18 +44,27 @@ class RhythmPoint(_Record):
 
 
 class RhythmSequence(_Record):
-    """A full R-sequence with its two summary indicators and the per-age
-    profile its expected values were computed from.
+    """A full R-sequence, stored as per-year columns, with its two summary
+    indicators and the per-age profile its expected values were computed
+    from.
 
-    ``i1`` is the ratio of sums (total observed over total expected), None
-    when nothing is expected. ``i2`` is the plain average of the yearly
-    ratios, None as soon as any ratio is undefined; see
+    ``years``, ``observed``, ``expected`` and ``ratios`` run in parallel,
+    oldest publication year first; a ratio is None exactly where expected
+    is 0. ``points`` zips them into :class:`RhythmPoint` records on each
+    read. ``i1`` is the ratio of sums (total observed over total expected),
+    None when nothing is expected. ``i2`` is the plain average of the
+    yearly ratios, None as soon as any ratio is undefined; see
     :func:`summary_i2_lenient` for the average over defined years only.
     """
 
-    def __init__(self, points: tuple[RhythmPoint, ...], observed_label: str, profile: CkProfile,
-                 i1: float | None, i2: float | None, undefined_years: tuple[int, ...]) -> None:
-        object.__setattr__(self, "points", points)
+    def __init__(self, years: tuple[int, ...], observed: tuple[float, ...],
+                 expected: tuple[float, ...], ratios: tuple[float | None, ...],
+                 observed_label: str, profile: CkProfile, i1: float | None, i2: float | None,
+                 undefined_years: tuple[int, ...]) -> None:
+        object.__setattr__(self, "years", years)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "observed_label", observed_label)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "i1", i1)
@@ -62,20 +76,16 @@ class RhythmSequence(_Record):
         return self.profile.source_label
 
     @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(p.year for p in self.points)
-
-    @property
-    def ratios(self) -> tuple[float | None, ...]:
-        return tuple(p.ratio for p in self.points)
+    def points(self) -> tuple[RhythmPoint, ...]:
+        return tuple(map(RhythmPoint, self.years, self.observed, self.expected, self.ratios))
 
     @property
     def observed_total(self) -> float:
-        return sum(p.observed for p in self.points)
+        return sum(self.observed)
 
     @property
     def expected_total(self) -> float:
-        return sum(p.expected for p in self.points)
+        return sum(self.expected)
 
 
 class WindowSeries(_Record):
@@ -85,7 +95,7 @@ class WindowSeries(_Record):
         object.__setattr__(self, "entries", entries)
 
 
-def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
+def _expected(m: PCMatrix, profile: CkProfile) -> tuple[float, ...]:
     """Expected citations of every publication year, oldest first."""
     if profile.n != m.n:
         raise AlignmentError(
@@ -95,7 +105,7 @@ def _expected(m: PCMatrix, profile: CkProfile) -> list[float]:
     # the sum of the first n - t profile values: the running sums, read
     # backwards.
     cumulative = reversed(tuple(accumulate(profile.values)))
-    expected = [pubs * ck_sum for pubs, ck_sum in zip(m.pubs, cumulative)]
+    expected = tuple(map(operator.mul, m.pubs, cumulative))
     # Every value is >= 0 (or NaN, from 0 * inf), so a finite total makes
     # every value finite.
     if not math.isfinite(sum(expected)):
@@ -123,7 +133,10 @@ def _assemble(observed_source: PCMatrix, profile: CkProfile) -> RhythmSequence:
             f"{m.label or 'matrix'}: observed-to-expected ratios pass the largest float"
         )
     return RhythmSequence(
-        points=tuple(map(RhythmPoint, years, observed, expected, ratios)),
+        years=years,
+        observed=observed,
+        expected=expected,
+        ratios=tuple(ratios),
         observed_label=m.label,
         profile=profile,
         i1=i1,
@@ -154,7 +167,7 @@ def cross_rhythm(
 def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:
     """Average over the defined ratios only, with the count of years that
     entered the average; None when no ratio is defined."""
-    defined = [p.ratio for p in seq.points if p.ratio is not None]
+    defined = [ratio for ratio in seq.ratios if ratio is not None]
     if not defined:
         return None
     return sum(defined) / len(defined), len(defined)

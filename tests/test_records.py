@@ -38,8 +38,8 @@ M2 = PCMatrix(2000, (1.0, 2.0), ((3.0, 1.0), (5.0,)), "m")
 BIG = PCMatrix(2000, (2.0, 3.0), ((6.0, 2.0), (9.0,)), "big")
 PROFILE = CkProfile((2.0,), "b")
 POINT = RhythmPoint(2000, 1.0, 2.0, 0.5)
-SEQ = RhythmSequence((POINT,), "a", PROFILE, 0.5, 0.5, ())
-SEQ2 = RhythmSequence((POINT,), "a2", PROFILE, 0.5, 0.5, ())
+SEQ = RhythmSequence((2000,), (1.0,), (2.0,), (0.5,), "a", PROFILE, 0.5, 0.5, ())
+SEQ2 = RhythmSequence((2000,), (1.0,), (2.0,), (0.5,), "a2", PROFILE, 0.5, 0.5, ())
 FINDING = Finding("warning", "dominance", "a holds 90%")
 ACTOR = ManifestActor("a", "A", Path("a.csv"))
 EVENT = CitationEvent(2000, 2001, 2.0)
@@ -48,8 +48,9 @@ P = repr(Path("a.csv"))
 M_REPR = "PCMatrix(first_year=2000, pubs=(1.0, 2.0), cites=((3.0, 1.0), (4.0,)), label='m')"
 POINT_REPR = "RhythmPoint(year=2000, observed=1.0, expected=2.0, ratio=0.5)"
 SEQ_REPR = (
-    f"RhythmSequence(points=({POINT_REPR},), observed_label='a', "
-    "profile=CkProfile(values=(2.0,), source_label='b'), i1=0.5, i2=0.5, undefined_years=())"
+    "RhythmSequence(years=(2000,), observed=(1.0,), expected=(2.0,), ratios=(0.5,), "
+    "observed_label='a', profile=CkProfile(values=(2.0,), source_label='b'), i1=0.5, i2=0.5, "
+    "undefined_years=())"
 )
 FINDING_REPR = "Finding(severity='warning', code='dominance', message='a holds 90%')"
 ACTOR_REPR = f"ManifestActor(actor_id='a', label='A', path={P})"
@@ -91,9 +92,10 @@ CASES = {
     ),
     "RhythmSequence": (
         RhythmSequence,
-        ("points", "observed_label", "profile", "i1", "i2", "undefined_years"),
-        ((POINT,), "a", PROFILE, 0.5, 0.5, ()),
-        ((), "x", CkProfile((3.0,), "b"), None, None, (2000,)),
+        ("years", "observed", "expected", "ratios", "observed_label", "profile", "i1", "i2",
+         "undefined_years"),
+        ((2000,), (1.0,), (2.0,), (0.5,), "a", PROFILE, 0.5, 0.5, ()),
+        ((2001,), (2.0,), (4.0,), (None,), "x", CkProfile((3.0,), "b"), None, None, (2000,)),
         {},
         SEQ_REPR,
     ),
@@ -321,6 +323,18 @@ def test_matrix_sums_are_cached_and_survive_copies():
     assert m.sums == Sums((1.0, 2.0), (4.0, 4.0), (7.0, 1.0))
     assert copy.copy(m).sums == m.sums
     assert pickle.loads(pickle.dumps(m)).sums == m.sums
+
+
+def test_sequence_points_are_built_from_the_columns_on_each_read():
+    seq = RhythmSequence((2000, 2001), (1.0, 3.0), (2.0, 0.0), (0.5, None), "a", PROFILE,
+                         2.0, None, (2001,))
+    assert seq.points == (POINT, RhythmPoint(2001, 3.0, 0.0, None))
+    assert seq.points == tuple(map(RhythmPoint, seq.years, seq.observed, seq.expected,
+                                   seq.ratios))
+    assert "points" not in vars(seq)
+    for restored in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert restored == seq and restored.points == seq.points
+        assert "points" not in vars(restored)
 
 
 def test_validation_runs_on_construction():

@@ -8,14 +8,21 @@ from citerhythm import (
     CkProfile,
     DomainError,
     PCMatrix,
+    RhythmPoint,
     WindowError,
+    actor_vs_actor,
+    actor_vs_collective,
+    brute_force_rhythm,
     ck_profile,
+    corpus_from_matrix,
     cross_rhythm,
+    fixture_path,
     internal_rhythm,
     parse_matrix,
     sliding_windows,
     summary_i2_lenient,
 )
+from citerhythm.cli import main
 from helpers import random_matrix, rel_err, scale_cites, scale_pubs
 
 
@@ -319,3 +326,72 @@ class TestScaleProperties:
             for pl, ph in zip(lo.points, hi.points):
                 if pl.ratio is not None:
                     assert ph.ratio >= pl.ratio - 1e-12
+
+
+# Each source of a RhythmSequence, given the SCIM collective.
+SEQUENCES = {
+    "internal": lambda c: internal_rhythm(c.actor("china")),
+    "window": lambda c: sliding_windows(c.actor("china"), 5).entries[2][1],
+    "undefined year": lambda c: internal_rhythm(
+        PCMatrix(2000, (5.0, 0.0, 3.0), ((2.0, 1.0, 1.0), (0.0, 0.0), (4.0,)))
+    ),
+    "cross": lambda c: cross_rhythm(c.actor("brazil"), c.total),
+    "actor vs collective": lambda c: actor_vs_collective(c, "china"),
+    "actor vs actor": lambda c: actor_vs_actor(c, "brazil", "netherlands").sequences["brazil"],
+    "brute force": lambda c: brute_force_rhythm(
+        corpus_from_matrix(c.actor("china")), corpus_from_matrix(c.total)
+    ),
+}
+
+
+@pytest.fixture
+def points_built(monkeypatch):
+    """Every RhythmPoint constructed while the fixture is active."""
+    built = []
+    init = RhythmPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RhythmPoint, "__init__", counting_init)
+    return built
+
+
+class TestColumns:
+    @pytest.mark.parametrize("source", SEQUENCES)
+    def test_points_zip_the_columns(self, scim, source):
+        seq = SEQUENCES[source](scim)
+        assert len(seq.years) == len(seq.observed) == len(seq.expected) == len(seq.ratios) > 0
+        assert seq.points == tuple(map(RhythmPoint, seq.years, seq.observed, seq.expected,
+                                       seq.ratios))
+        assert seq.observed_total == sum(p.observed for p in seq.points)
+        assert seq.expected_total == sum(p.expected for p in seq.points)
+
+    def test_rhythms_build_no_points(self, scim, points_built):
+        china = scim.actor("china")
+        summary_i2_lenient(internal_rhythm(china))
+        sliding_windows(china, 5)
+        cross_rhythm(scim.actor("brazil"), scim.total)
+        actor_vs_collective(scim, "china")
+        assert points_built == []
+        assert len(internal_rhythm(china).points) == len(points_built) == china.n
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["internal", "china.csv"],
+            ["windows", "china.csv", "--width", "5"],
+            ["external", "scim.manifest", "--actor", "china"],
+            ["external", "scim.manifest", "--actor", "china", "--format", "csv"],
+            ["external", "scim.manifest", "--actor", "china", "--format", "svg"],
+            ["validate", "scim.manifest"],
+            ["oracle-check", "scim.manifest", "--trials", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_build_no_points(self, capsys, points_built, argv):
+        argv = [argv[0], str(fixture_path(argv[1])), *argv[2:]]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert points_built == []
