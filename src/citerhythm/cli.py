@@ -29,6 +29,11 @@ ORACLE_TOLERANCE = 1e-9
 # to ``decimals`` places needs at most this many digits plus ``decimals``.
 _FLOAT_INTEGER_DIGITS = 309
 
+# The shortest repr of every float, 5e-324 the smallest, ends at or before
+# this decimal place, so more places would only print zeros, and a large
+# enough count would fill memory before the first digit is written.
+_MAX_DECIMALS = 324
+
 
 def format_number(value: float, decimals: int) -> str:
     """Fixed-point rendering, ties rounded half away from zero; -0.0 prints
@@ -315,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "decimals", 0) < 0:
             raise ValueError("decimals must be >= 0")
+        if getattr(args, "decimals", 0) > _MAX_DECIMALS:
+            raise ValueError(f"decimals must be <= {_MAX_DECIMALS}")
         if getattr(args, "trials", 0) < 0:
             raise ValueError("trials must be >= 0")
         code = args.func(args)

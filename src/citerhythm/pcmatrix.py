@@ -66,19 +66,14 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _pairwise(op, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(map(op, a, b))
-
-
 class Sums(_Record):
     """The additive statistics a rhythm needs from a p-c matrix.
 
     ``pubs[t]`` is year t's publication count, ``rows[t]`` that year's
     row sum (its observed citations) and ``diagonals[a]`` the citations
     received ``a`` years after publication, summed over all publication
-    years. All three are additive, so the sums of ``total - actors`` are
-    the total's sums minus the actors' sums, in O(n). Operands must cover
-    the same window.
+    years. All three are additive: the sums of ``total - actors`` are the
+    total's sums minus the actors' sums.
     """
 
     def __init__(self, pubs: tuple[float, ...], rows: tuple[float, ...],
@@ -87,37 +82,34 @@ class Sums(_Record):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "diagonals", diagonals)
 
-    def __add__(self, other: "Sums") -> "Sums":
-        return Sums(
-            _pairwise(operator.add, self.pubs, other.pubs),
-            _pairwise(operator.add, self.rows, other.rows),
-            _pairwise(operator.add, self.diagonals, other.diagonals),
-        )
-
-    def __sub__(self, other: "Sums") -> "Sums":
-        return Sums(
-            _pairwise(operator.sub, self.pubs, other.pubs),
-            _pairwise(operator.sub, self.rows, other.rows),
-            _pairwise(operator.sub, self.diagonals, other.diagonals),
-        )
-
     def profile(self, label: str = "") -> "CkProfile":
         """:func:`ck_profile` of the matrix with these sums and this label."""
         # Age k's denominator is the publication total of the first n-k+1 years.
-        denominators = reversed(tuple(accumulate(self.pubs)))
-        values = []
-        pairs = zip(self.diagonals, denominators)
-        for k, (numerator, denominator) in enumerate(pairs, 1):
-            if denominator == 0:
-                if numerator > 0:
-                    raise DataConsistencyError(
-                        f"{label or 'matrix'}: age {k} has {numerator} citations "
-                        "but no publications in the contributing years"
-                    )
-                values.append(0.0)
-            else:
+        return _profile(self.diagonals, reversed(tuple(accumulate(self.pubs))), label)
+
+
+def _profile(numerators: Iterable[float], denominators: Iterable[float], label: str,
+             scale: int = 1) -> "CkProfile":
+    """The per-age profile of age k's citations ``numerators[k - 1]`` over
+    its publications ``denominators[k - 1]``, both counts times ``scale``.
+    An age without publications has 0, or raises where it has citations."""
+    values = []
+    for k, (numerator, denominator) in enumerate(zip(numerators, denominators), 1):
+        if denominator == 0:
+            if numerator > 0:
+                raise DataConsistencyError(
+                    f"{label or 'matrix'}: age {k} has {numerator / scale} citations "
+                    "but no publications in the contributing years"
+                )
+            values.append(0.0)
+        else:
+            try:
                 values.append(numerator / denominator)
-        return CkProfile(values=tuple(values), source_label=label)
+            except OverflowError:
+                # Only ints raise here; a float quotient past the largest
+                # float is inf, which CkProfile rejects. So is this one.
+                values.append(math.inf)
+    return CkProfile(values=tuple(values), source_label=label)
 
 
 def _counts(values: Iterable[float], what: str) -> tuple[float, ...]:

@@ -57,6 +57,31 @@ class TestFormatNumber:
         assert text.startswith("1.5") and len(text.partition(".")[2]) == decimals
 
 
+class TestDecimalsBound:
+    def test_above_the_maximum_is_rejected_before_formatting(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formatted a number")
+
+        monkeypatch.setattr(cli, "format_number", refuse)
+        for decimals in ("325", "100000000"):
+            code, out, err = run(
+                capsys, "internal", str(fixture_path("china.csv")), "--decimals", decimals
+            )
+            assert (code, out, err) == (1, "", "error: decimals must be <= 324\n")
+
+    def test_the_maximum_prints_every_digit_of_the_smallest_float(self):
+        assert format_number(5e-324, 324) == "0." + "0" * 323 + "5"
+        assert format_number(2.2250738585072014e-308, 324).endswith("22250738585072014")
+
+    def test_the_maximum_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "internal", str(fixture_path("china.csv")), "--decimals", "324",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert {len(c.partition(".")[2]) for c in out.splitlines()[1].split(",")[1:]} == {324}
+
+
 class TestValidate:
     def test_ok_run(self, capsys):
         code, out, _ = run(capsys, "validate", manifest())

@@ -1,4 +1,7 @@
 import math
+import random
+from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from citerhythm import (
     AlignmentError,
+    CkProfile,
     Collective,
     ComparisonResult,
     DataConsistencyError,
@@ -26,8 +30,9 @@ from citerhythm import (
     subtract,
     validate_collective,
 )
-from citerhythm.collective import _sums_subtract_exactly
-from helpers import scale_cites, scale_pubs, zero
+from citerhythm import collective
+from citerhythm.pcmatrix import _same, _sum_of
+from helpers import random_matrix, scale_cites, scale_pubs, zero
 
 
 def small(label="m", first_year=2000, pubs=(4.0, 2.0), cites=((3.0, 5.0), (2.0,))):
@@ -522,31 +527,107 @@ def assert_matches_complements(c):
             assert fast == _outcome(rebuilt)
 
 
+def _exact_cells(m):
+    return [Fraction(x) for x in chain(m.pubs, *m.cites)]
+
+
+def exact_rest_profile(c, ids):
+    """The rest's profile computed with fractions from the cells: a total
+    cell within 2**-40 of the constituents' float sum takes their exact
+    sum; an age whose rest publications are at most 2**-40 of the total's
+    over its contributing years has none; each value is rounded once."""
+    ids = sorted(ids)
+    parts = _sum_of(c.constituents.values())
+    exact = {a: _exact_cells(m) for a, m in c.constituents.items()}
+    cells = zip(chain(c.total.pubs, *c.total.cites), chain(parts.pubs, *parts.cites))
+    total = [
+        sum(e[i] for e in exact.values()) if _same(x, y) else Fraction(x)
+        for i, (x, y) in enumerate(cells)
+    ]
+    rest = [t - sum(exact[a][i] for a in ids) for i, t in enumerate(total)]
+    assert min(rest) >= 0
+    n, flat = c.total.n, iter(rest)
+    pubs = list(islice(flat, n))
+    rows = [list(islice(flat, n - t)) for t in range(n)]
+    label = f"{c.label} \\ {{{', '.join(ids)}}}"
+    values = []
+    for k in range(1, n + 1):
+        years = n - k + 1
+        citations = sum(rows[t][k - 1] for t in range(years))
+        if sum(pubs[:years]) <= Fraction(2.0**-40) * sum(total[:years]):
+            if citations > 0:
+                raise DataConsistencyError(
+                    f"{label}: age {k} has {float(citations)} citations "
+                    "but no publications in the contributing years"
+                )
+            values.append(0.0)
+        else:
+            values.append(float(citations / sum(pubs[:years])))
+    return CkProfile(tuple(values), label)
+
+
+def assert_matches_exact_rests(c):
+    """Every comparison equals the rhythms against the exact rest's
+    profile, value for value and label for label, errors included."""
+    ids = c.actor_ids
+    for u in ids:
+
+        def reference():
+            profile = exact_rest_profile(c, {u})
+            return profile.source_label, cross_rhythm(c.actor(u), profile)
+
+        def fast():
+            seq = actor_vs_collective(c, u)
+            return seq.expectation_label, seq
+
+        assert _outcome(fast) == _outcome(reference)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+
+            def reference():
+                profile = exact_rest_profile(c, {u, v})
+                return profile.source_label, {x: cross_rhythm(c.actor(x), profile) for x in (u, v)}
+
+            fast = _outcome(lambda: actor_vs_actor(c, v, u))
+            if isinstance(fast, ComparisonResult):
+                fast = fast.baseline_label, fast.sequences
+            assert fast == _outcome(reference)
+
+
 class TestSumsMatchComplements:
-    """Comparisons equal the rhythms computed against a rebuilt complement
-    matrix, exactly, errors included."""
+    """Comparisons equal the rhythms against the rest computed exactly from
+    the cells, errors included; on integer data, that is the rest that
+    ``complement`` rebuilds, to the last bit."""
 
     @settings(deadline=None)
     @given(collectives())
     def test_integer_collectives(self, c):
         if c is not None:
             assert_matches_complements(c)
+            assert_matches_exact_rests(c)
 
     @settings(deadline=None)
     @given(collectives(fractional=True))
     def test_fractional_collectives(self, c):
         if c is not None:
-            assert_matches_complements(c)
+            assert_matches_exact_rests(c)
 
     def test_integer_collective_builds_no_complement(self, monkeypatch, scim):
         def refuse(*args):
             raise AssertionError("complement built")
 
-        monkeypatch.setattr("citerhythm.collective.complement", refuse)
-        assert len(actor_vs_collective(scim, "china").points) == scim.total.n
-        assert actor_vs_actor(scim, "brazil", "netherlands").baseline_label == (
-            "SCIM \\ {brazil, netherlands}"
+        fractional = Collective(
+            "F", {a: scale_pubs(scale_cites(m, 0.1), 0.1) for a, m in scim.constituents.items()}
         )
+        monkeypatch.setattr("citerhythm.collective.complement", refuse)
+        monkeypatch.setattr("citerhythm.pcmatrix.subtract", refuse)
+        monkeypatch.setattr("citerhythm.collective._sum_of", refuse)
+        for c in (scim, fractional):
+            assert len(actor_vs_collective(c, "china").points) == scim.total.n
+            assert actor_vs_actor(c, "brazil", "netherlands").baseline_label == (
+                f"{c.label} \\ {{brazil, netherlands}}"
+            )
+        assert fractional._scale > 1
 
     def test_rounding_residue_without_publications(self):
         # Age 1's cells of A and B add up to 1 + 2**-52 in the total, but
@@ -570,6 +651,33 @@ class TestSumsMatchComplements:
         assert actor_vs_collective(c, "a").ratios == (2.0**54, 0.0)
         assert_matches_complements(c)
 
+    def test_total_cells_rounded_at_2_53_take_the_exact_sum(self):
+        # The total's 2**53 citations at age 1 of 2000 are the rounded
+        # float sum of a's 2**53 and b's 1. Without a and b, that float
+        # would leave the rest -1 citation there; the exact sum leaves 0,
+        # as the complement does, and the rest keeps r's citations alone.
+        a = small("A", pubs=(1.0, 1.0), cites=((2.0**53, 0.0), (0.0,)))
+        b = small("B", pubs=(1.0, 1.0), cites=((1.0, 0.0), (0.0,)))
+        r = small("R", pubs=(2.0, 2.0), cites=((0.0, 0.0), (6.0,)))
+        c = Collective("C", {"a": a, "b": b, "r": r})
+        assert c.total.cites[0][0] == 2.0**53
+        assert actor_vs_actor(c, "a", "b").sequences["a"].profile.values == (1.5, 0.0)
+        assert complement(c, {"a", "b"}) == r
+        assert_matches_exact_rests(c)
+
+    def test_rests_past_the_largest_float_raise(self):
+        # The exact sums never overflow, but a rest whose counts or Ck pass
+        # the largest float raises the DomainError the complement would.
+        big = small("T", pubs=(1e308, 1e308), cites=((0.0, 0.0), (0.0,)))
+        c = Collective(label="C", total=big, constituents={"a": small(cites=((0.0, 0.0), (0.0,)))})
+        with pytest.raises(DomainError, match=r"^C \\ \{a\}: counts sum past the largest float$"):
+            actor_vs_collective(c, "a")
+        total = PCMatrix(2000, (0.5,), ((1e308,),), "T")
+        c = Collective(label="C", total=total, constituents={"a": one_year("A", 0.25, 0.0)})
+        with pytest.raises(DomainError, match="^profile value must be finite, got inf$"):
+            actor_vs_collective(c, "a")
+        assert_matches_complements(c)
+
     def test_counts_past_the_tolerance_bound(self):
         # 2**41 - 1 is within 2**-40 of 2**41, so subtract calls them the
         # same and leaves 0, where subtracting sums would leave 1.
@@ -579,21 +687,47 @@ class TestSumsMatchComplements:
         assert complement(c, {"a"}).cites[0][0] == 0.0
         assert_matches_complements(c)
 
-    def test_exactness_pass_runs_once_at_build(self, monkeypatch):
-        # Comparisons are what callers time, so none of them runs the pass.
+    def test_exact_sums_are_computed_once_at_build(self, monkeypatch):
+        # Comparisons are what callers time, so none of them sums cells.
         calls = []
 
-        def counted(c):
-            calls.append(c.label)
-            return _sums_subtract_exactly(c)
+        def counted(total, parts, constituents):
+            calls.append(total.label)
+            return exact_sums(total, parts, constituents)
 
-        monkeypatch.setattr("citerhythm.collective._sums_subtract_exactly", counted)
+        exact_sums = collective._exact_sums
+        monkeypatch.setattr("citerhythm.collective._exact_sums", counted)
         c = load_manifest(fixture_path("scim.manifest"))
         assert calls == ["SCIM"]
         assert validate_collective(c).ok
         actor_vs_collective(c, "china")
         actor_vs_actor(c, "brazil", "netherlands")
         assert calls == ["SCIM"]
+
+    def test_float_sums_of_small_integer_matrices_are_the_exact_sums(self, scim):
+        # Integer matrices whose cells add up to less than 2**53 take their
+        # exact sums from ``m.sums``; summing their cells as ints agrees.
+        rng = random.Random(7)
+        matrices = [scim.total, *scim.constituents.values()]
+        matrices += [random_matrix(rng, max_pubs=2**40, max_cites=2**40) for _ in range(20)]
+        for m in matrices:
+            assert sum(chain(m.pubs, *m.cites)) < 2**53
+            assert collective._scale([m]) == 1
+            assert collective._sums_of_floats(m) == collective._sums_of_cells(
+                collective._scaled(m, 1), m.n
+            )
+
+    def test_fractional_rest_is_the_exact_rest_rounded_once(self):
+        # Shares of 0.1 leave the rest 0.3 - 0.1 - 0.1 = 0.09999999999999998
+        # by cells; the exact rest of the cells is 0.10000000000000000555...
+        # and every value of the profile is rounded from it once.
+        total = uniform("T", 0.3)
+        parts = {"a": uniform("A", 0.1), "b": uniform("B", 0.1)}
+        c = Collective(label="C", total=total, constituents=parts)
+        profile = actor_vs_actor(c, "a", "b").sequences["a"].profile
+        assert profile == exact_rest_profile(c, {"a", "b"})
+        assert profile.values == (1.0, 1.0)
+        assert_matches_exact_rests(c)
 
     def test_citations_lost_to_rounding_still_raise(self):
         # The rest holds 2**-53 citations at age 1 and no publications. Its

@@ -6,7 +6,8 @@ behind one module's public interface. No module reads the environment, so a
 command's output depends on its arguments and input files alone. Each
 module's ``__all__`` is the only list of its public names: the package
 re-exports those lists. A process loads only what its command runs: no
-module imports ``dataclasses``, no command loads ``hashlib``, ``chart``
+module imports ``dataclasses``, no command loads ``hashlib`` or
+``fractions`` (collectives subtract exact sums as ints), ``chart``
 loads only where a command draws svg, ``collective`` only for the commands
 that read a manifest or on first use of one of its names through the
 package (``ingest`` does not import it), and ``oracle`` only for
@@ -131,7 +132,9 @@ def test_first_use_of_an_oracle_name_loads_the_oracle(use):
     assert _probe(probe) == ["False", "True", "True"]
 
 
-@pytest.mark.parametrize("module", ["citerhythm.collective", "hashlib", "_hashlib"])
+@pytest.mark.parametrize(
+    "module", ["citerhythm.collective", "hashlib", "_hashlib", "fractions"]
+)
 def test_package_import_leaves_module_unloaded(module):
     probe = f"import sys, citerhythm; print({module!r} in sys.modules)"
     assert _probe(probe) == ["False"]
@@ -285,6 +288,15 @@ def test_only_manifest_commands_load_the_collective_and_none_loads_hashlib(run):
     )
     out = _probe(probe, *FORMAT_RUNS[run])
     assert out[-3:] == ["0", str(run.partition("/")[0] in MANIFEST_COMMANDS), "False"]
+
+
+@pytest.mark.parametrize("run", FORMAT_RUNS)
+def test_no_command_loads_fractions(run):
+    probe = (
+        "import sys; from citerhythm.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'fractions' in sys.modules)"
+    )
+    assert _probe(probe, *FORMAT_RUNS[run])[-2:] == ["0", "False"]
 
 
 def test_cli_imports_only_public_names():
