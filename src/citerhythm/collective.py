@@ -79,25 +79,20 @@ def _scaled(m: PCMatrix, scale: int) -> list[int]:
     return [p * (scale // q) for p, q in map(float.as_integer_ratio, _cells(m))]
 
 
-def _sums(pubs: Iterable, rows: list[tuple]) -> tuple[tuple, tuple]:
+def _sums_of_cells(cells: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Cumulative publications (of the years up to each year) and diagonal
-    sums of a matrix given by its publications and citation rows."""
+    sums of an n-year matrix whose cells ``cells`` lists in ``_cells`` order."""
+    flat = iter(cells)
+    pubs = tuple(islice(flat, n))
+    rows = [tuple(islice(flat, n - t)) for t in range(n)]
     return tuple(accumulate(pubs)), tuple(map(sum, zip_longest(*rows, fillvalue=0)))
 
 
-def _sums_of_cells(cells: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_sums`` of an n-year matrix whose cells ``cells`` lists in
-    ``_cells`` order."""
-    flat = iter(cells)
-    pubs = tuple(islice(flat, n))
-    return _sums(pubs, [tuple(islice(flat, n - t)) for t in range(n)])
-
-
 def _sums_of_floats(m: PCMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_sums_of_cells(_scaled(m, 1), m.n)`` from the float cells, where
+    """``_sums_of_cells(_scaled(m, 1), m.n)`` read from ``m.sums``, where
     every cell of ``m`` is an integer and they add up to less than 2**53:
     then no float sum of them is rounded."""
-    return tuple(tuple(map(int, sums)) for sums in _sums(m.pubs, m.cites))
+    return tuple(map(int, accumulate(m.sums.pubs))), tuple(map(int, m.sums.diagonals))
 
 
 def _exact_sums(total: PCMatrix, parts: PCMatrix, constituents: Mapping[str, PCMatrix]):
@@ -176,9 +171,10 @@ class Collective(_Record):
         if excess is not None:
             raise SubsetError(f"{self.label}: constituents sum past the total at {excess}")
         scale, (pubs, diagonals), sums = _exact_sums(self.total, parts, self.constituents)
-        # A rest whose publications are at most the tolerance's share of
-        # the total's over the same years is a rounding rest: it has none.
-        num, den = _REL_TOL.as_integer_ratio()
+        # A rest of fractional cells whose publications are at most the
+        # tolerance's share of the total's over the same years is a rounding
+        # rest: it has none. At scale 1 every sum is exact, so no rule.
+        num, den = _REL_TOL.as_integer_ratio() if scale > 1 else (0, 1)
         limits = tuple(p * num // den for p in pubs)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_exact_total", (limits, pubs, diagonals))
@@ -274,10 +270,9 @@ def _rest_profile(c: Collective, actor_ids: set[str]) -> CkProfile:
     label = _rest_label(c, ids)
     if max(pubs[-1], sum(diagonals)) > _LARGEST_FLOAT * c._scale:
         raise DomainError(f"{label}: counts sum past the largest float")
-    # Age k's denominator is the publication total of the first n-k+1
-    # years; a total within the tolerance of the actors' counts as none.
-    denominators = [p if p > limit else 0 for p, limit in zip(pubs, limits)]
-    return pcmatrix._profile(diagonals, reversed(denominators), label, c._scale)
+    # Publications within the rest rule's limit count as none.
+    pubs = [p if p > limit else 0 for p, limit in zip(pubs, limits)]
+    return pcmatrix._profile(diagonals, pubs, label, c._scale)
 
 
 def actor_vs_collective(c: Collective, actor_id: str) -> RhythmSequence:
@@ -328,7 +323,9 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
     against the rest is meaningless. Warnings never fail a load.
     """
     findings: list[Finding] = []
-    total_pubs = c.total.total_pubs
+    # The exact sums that comparisons subtract, so a warning names the
+    # rest publications that a comparison divides by.
+    scale, pubs = c._scale, c._exact_total[1][-1]
 
     findings.append(
         Finding(
@@ -345,9 +342,9 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
             message = f"partition residual: total exceeds the constituents' sum at {residual}"
             findings.append(Finding("error", "partition", message))
 
-    for actor_id, m in c.constituents.items():
-        actor_pubs = m.total_pubs
-        share = actor_pubs / total_pubs if total_pubs > 0 else 1.0
+    for actor_id, (cumulative, _) in c._exact.items():
+        actor_pubs = cumulative[-1]
+        share = actor_pubs / pubs if pubs else 1.0
         if share > DEFAULT_DOMINANCE_SHARE:
             findings.append(
                 Finding(
@@ -357,8 +354,8 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
                     "comparisons against the rest are not meaningful",
                 )
             )
-        # Publications at or past the total leave no rest, not a negative one.
-        rest_pubs = max(total_pubs - actor_pubs, 0.0)
+        # A rest past the largest float is far from small.
+        rest_pubs = min(pubs - actor_pubs, _LARGEST_FLOAT * scale) / scale
         if rest_pubs < DEFAULT_MIN_COMPLEMENT_PUBS:
             findings.append(
                 Finding(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, islice, zip_longest
 
@@ -82,19 +82,16 @@ class Sums(_Record):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "diagonals", diagonals)
 
-    def profile(self, label: str = "") -> "CkProfile":
-        """:func:`ck_profile` of the matrix with these sums and this label."""
-        # Age k's denominator is the publication total of the first n-k+1 years.
-        return _profile(self.diagonals, reversed(tuple(accumulate(self.pubs))), label)
 
-
-def _profile(numerators: Iterable[float], denominators: Iterable[float], label: str,
+def _profile(diagonals: Iterable[float], cumulative_pubs: Sequence[float], label: str,
              scale: int = 1) -> "CkProfile":
-    """The per-age profile of age k's citations ``numerators[k - 1]`` over
-    its publications ``denominators[k - 1]``, both counts times ``scale``.
-    An age without publications has 0, or raises where it has citations."""
+    """The per-age profile of an n-year matrix from its diagonal sums and
+    its cumulative publications (of the years up to each year, oldest
+    first), both counts times ``scale``. An age without publications has
+    0, or raises where it has citations."""
     values = []
-    for k, (numerator, denominator) in enumerate(zip(numerators, denominators), 1):
+    # Age k's denominator is the publication total of the first n-k+1 years.
+    for k, (numerator, denominator) in enumerate(zip(diagonals, reversed(cumulative_pubs)), 1):
         if denominator == 0:
             if numerator > 0:
                 raise DataConsistencyError(
@@ -274,7 +271,7 @@ def ck_profile(m: PCMatrix) -> CkProfile:
     A span with no publications and no citations yields 0; citations without
     publications are rejected as inconsistent data.
     """
-    return m.sums.profile(m.label)
+    return _profile(m.sums.diagonals, tuple(accumulate(m.sums.pubs)), m.label)
 
 
 def _check_aligned(a: PCMatrix, b: PCMatrix) -> None:

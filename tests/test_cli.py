@@ -387,6 +387,33 @@ class TestCompare:
         assert rows[3][3] == "netherlands"  # 2017
         assert rows[11] == ["I1", "0.856", "2.307"]
 
+    def test_identical_actors_tie_in_every_defined_year(self, capsys, tmp_path):
+        # u and v hold the same matrix, so their ratios against the shared
+        # rest r are equal; neither has publications in 2002, so that year
+        # is undefined and has no winner.
+        twin = PCMatrix(2000, (2.0, 3.0, 0.0), ((1.0, 2.0, 1.0), (2.0, 1.0), (0.0,)))
+        rest = PCMatrix(2000, (4.0, 4.0, 4.0), ((2.0, 2.0, 2.0), (2.0, 2.0), (1.0,)))
+        for name, m in (("u", twin), ("v", twin), ("r", rest)):
+            (tmp_path / f"{name}.csv").write_text(write_matrix(m))
+        p = tmp_path / "t.manifest"
+        p.write_text(
+            "[collective]\nlabel = T\n"
+            + "".join(f"\n[actor]\nid = {a}\nlabel = {a}\npath = {a}.csv\n" for a in "uvr")
+        )
+        code, out, _ = run(capsys, "compare", str(p), "--a", "u", "--b", "v")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:5]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("2000", "tie"), ("2001", "tie"), ("2002", "-")
+        ]
+        code, out, _ = run(capsys, "compare", str(p), "--a", "u", "--b", "v", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:4]
+        assert [(row[0], row[3]) for row in rows] == [
+            ("2000", "tie"), ("2001", "tie"), ("2002", "")
+        ]
+        assert rows[0][1] == rows[0][2] and rows[2][1:] == ["", "", ""]
+
     def test_self_comparison_fails(self, capsys):
         code, _, err = run(capsys, "compare", manifest(), "--a", "brazil", "--b", "brazil")
         assert code == 1

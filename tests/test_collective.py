@@ -315,6 +315,22 @@ class TestValidate:
             "comparisons against the rest are not meaningful"
         )
 
+    def test_smallness_reads_the_rest_that_comparisons_divide_by(self):
+        # In floats, (49/3 + 20) - 49/3 is 19.999999999999996; the exact
+        # rest holds r's 20 publications, which a's Ck divides by too.
+        a, r = one_year("A", 49 / 3, 0.0), one_year("R", 20.0, 10.0)
+        c = Collective("C", {"a": a, "r": r})
+        assert (a.pubs[0] + r.pubs[0]) - a.pubs[0] < 20.0
+        assert actor_vs_collective(c, "a").profile.values == (0.5,)
+        [smallness] = [f for f in validate_collective(c).warnings if f.code == "smallness"]
+        assert smallness.message.startswith("complement of 'r' has only 16.3333 publications")
+
+    def test_rest_past_the_largest_float_is_not_small(self):
+        total = small("T", pubs=(1e308, 1e308), cites=((0.0, 0.0), (0.0,)))
+        a = small(cites=((0.0, 0.0), (0.0,)))
+        c = Collective(label="C", total=total, constituents={"a": a})
+        assert validate_collective(c).findings[1:] == ()
+
 
 class TestContainment:
     """Each constituent fits inside the total, but their pair does not."""
@@ -534,11 +550,14 @@ def _exact_cells(m):
 def exact_rest_profile(c, ids):
     """The rest's profile computed with fractions from the cells: a total
     cell within 2**-40 of the constituents' float sum takes their exact
-    sum; an age whose rest publications are at most 2**-40 of the total's
-    over its contributing years has none; each value is rounded once."""
+    sum; where any cell is fractional, an age whose rest publications are
+    at most 2**-40 of the total's over its contributing years has none;
+    each value is rounded once."""
     ids = sorted(ids)
     parts = _sum_of(c.constituents.values())
     exact = {a: _exact_cells(m) for a, m in c.constituents.items()}
+    fractional = any(x.denominator > 1 for x in chain(_exact_cells(c.total), *exact.values()))
+    tolerance = Fraction(2.0**-40) if fractional else 0
     cells = zip(chain(c.total.pubs, *c.total.cites), chain(parts.pubs, *parts.cites))
     total = [
         sum(e[i] for e in exact.values()) if _same(x, y) else Fraction(x)
@@ -554,7 +573,7 @@ def exact_rest_profile(c, ids):
     for k in range(1, n + 1):
         years = n - k + 1
         citations = sum(rows[t][k - 1] for t in range(years))
-        if sum(pubs[:years]) <= Fraction(2.0**-40) * sum(total[:years]):
+        if sum(pubs[:years]) <= tolerance * sum(total[:years]):
             if citations > 0:
                 raise DataConsistencyError(
                     f"{label}: age {k} has {float(citations)} citations "
@@ -665,6 +684,19 @@ class TestSumsMatchComplements:
         assert complement(c, {"a", "b"}) == r
         assert_matches_exact_rests(c)
 
+    @pytest.mark.parametrize("exponent", [40, 41, 52, 53, 60])
+    def test_integer_rests_beside_large_actors_keep_their_publications(self, exponent):
+        # r's 2 publications of 2001 are at most 2**-40 of the total's from
+        # 2**41 on. Integer sums are exact, so the rest keeps them and its
+        # Ck at age 2 is r's 6 citations of 2002 over them.
+        a = small("A", 2001, pubs=(2.0**exponent, 1.0), cites=((0.0, 0.0), (0.0,)))
+        b = small("B", 2001, pubs=(1.0, 1.0), cites=((0.0, 0.0), (0.0,)))
+        r = small("R", 2001, pubs=(2.0, 0.0), cites=((0.0, 6.0), (0.0,)))
+        c = Collective("C", {"a": a, "b": b, "r": r})
+        assert c._scale == 1
+        assert actor_vs_actor(c, "a", "b").sequences["a"].profile.values == (0.0, 3.0)
+        assert_matches_exact_rests(c)
+
     def test_rests_past_the_largest_float_raise(self):
         # The exact sums never overflow, but a rest whose counts or Ck pass
         # the largest float raises the DomainError the complement would.
@@ -716,6 +748,17 @@ class TestSumsMatchComplements:
             assert collective._sums_of_floats(m) == collective._sums_of_cells(
                 collective._scaled(m, 1), m.n
             )
+        # Building a collective of them takes that route and leaves each
+        # constituent's ``m.sums`` cached, so no comparison adds its cells
+        # again.
+        c = load_manifest(fixture_path("scim.manifest"))
+        cached = {a: vars(m).get("sums") for a, m in c.constituents.items()}
+        assert None not in cached.values()
+        for a, m in c.constituents.items():
+            assert c._exact[a] == collective._sums_of_cells(collective._scaled(m, 1), m.n)
+        actor_vs_collective(c, "china")
+        actor_vs_actor(c, "brazil", "netherlands")
+        assert all(m.sums is cached[a] for a, m in c.constituents.items())
 
     def test_fractional_rest_is_the_exact_rest_rounded_once(self):
         # Shares of 0.1 leave the rest 0.3 - 0.1 - 0.1 = 0.09999999999999998

@@ -177,6 +177,15 @@ def test_first_use_of_the_whole_api_gives_every_name_in_module_order(use):
     assert _probe(probe, *API_MODULES) == ["True", "True", "True"]
 
 
+def test_first_dir_lists_every_public_name():
+    probe = (
+        "import citerhythm; names = dir(citerhythm); "
+        "print(set(citerhythm.__all__) <= set(names), "
+        "'actor_vs_actor' in names, 'CorpusSpec' in names)"
+    )
+    assert _probe(probe) == ["True", "True", "True"]
+
+
 def test_ingest_does_not_import_the_collective():
     path = ROOT / "src" / "citerhythm" / "ingest.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
