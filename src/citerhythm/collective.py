@@ -135,9 +135,10 @@ class Collective(_Record):
     cell by cell, once, and raises :class:`SubsetError` at the first cell
     where that sum passes the total (beyond the tolerance of fractional
     counts) or the largest float; a total of None stands for the sum. It
-    also keeps every matrix's per-year publications and per-age citations
-    as exact ints (see ``_exact_sums``), so a comparison takes the rest
-    from them in O(n). Immutable: the constituents are a read-only copy of
+    keeps that sum for the partition check of :func:`validate_collective`,
+    and every matrix's per-year publications and per-age citations as
+    exact ints (see ``_exact_sums``), so a comparison takes the rest from
+    them in O(n). Immutable: the constituents are a read-only copy of
     the mapping passed in. Copies and unpickled collectives are built again
     from ``(label, dict(constituents), total)``, so they re-run the
     containment check and the exact sums (for 100 integer constituents of
@@ -179,6 +180,7 @@ class Collective(_Record):
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_exact_total", (limits, pubs, diagonals))
         object.__setattr__(self, "_exact", sums)
+        object.__setattr__(self, "_parts", parts)
 
     def __reduce__(self) -> tuple:
         return Collective, (self.label, dict(self.constituents), self.total)
@@ -337,7 +339,7 @@ def validate_collective(c: Collective, assert_partition: bool = False) -> Valida
     )
 
     if assert_partition:
-        residual = _first_excess(_sum_of(c.constituents.values()), c.total)
+        residual = _first_excess(c._parts, c.total)
         if residual is not None:
             message = f"partition residual: total exceeds the constituents' sum at {residual}"
             findings.append(Finding("error", "partition", message))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cached_property
 from pathlib import Path
 
@@ -87,18 +87,36 @@ def _cell_value(cell: str, line: int, column: int) -> float:
     return value
 
 
+# Counts repeat heavily: a generated n=500 matrix has 125,750 cells but
+# 4,869 distinct cell texts. Parsing converts each distinct text once and
+# lets its cells share that float. Once this many texts are stored, the
+# document's later rows convert with plain ``float``, which bounds what
+# parsing holds for a document whose counts are all distinct.
+_SHARED_COUNTS = 4096
+
+
+class _Counts(dict):
+    """Cell text to count for one document: a text not yet seen is
+    converted with ``float`` and stored, so equal texts give one object."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def _row_counts(
-    row: list[str], t: int, line: int
+    row: list[str], t: int, line: int, convert: Callable[[str], float]
 ) -> tuple[float, tuple[float, ...]]:
     """Publication count and on-or-above-diagonal cells of data row ``t``.
 
-    The row is converted in bulk; a row that fails the bulk check is walked
-    cell by cell in reading order, which raises at its first bad cell (or,
-    when only the bulk sum overflowed, returns the same values).
+    The row is converted in bulk with ``convert`` (``float``, or a
+    document's ``_Counts`` lookup); a row that fails the bulk check is
+    walked cell by cell in reading order, which raises at its first bad
+    cell (or, when only the bulk sum overflowed, returns the same values).
     """
     try:
-        pub = float(row[1])
-        cells = tuple(map(float, row[2 + t :]))
+        pub = convert(row[1])
+        cells = tuple(map(convert, row[2 + t :]))
     except ValueError:
         pass
     else:
@@ -142,9 +160,11 @@ def _lines(text: str) -> Iterator[str]:
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
     """Parse a matrix CSV document into a :class:`PCMatrix`.
 
-    Each data row is converted as the reader yields it, so only one row's
-    cell text is alive at a time. The first fault in reading order is the
-    one reported; the row count is checked after the last row.
+    Each data row is converted as the reader yields it, so parsing holds
+    one row's cell text, plus at most ``_SHARED_COUNTS`` distinct cell
+    texts (and those of the row that reaches that number), whose cells
+    share one float each. The first fault in reading order is the one
+    reported; the row count is checked after the last row.
     """
     _check_line_ends(text, LayoutError)
     reader = csv.reader(_lines(text))
@@ -164,6 +184,7 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
 
         pubs: list[float] = []
         cites: list[tuple[float, ...]] = []
+        counts = _Counts()
         line = 1
         for line, row in enumerate(reader, 2):
             t = line - 2
@@ -181,7 +202,8 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
                     line,
                     1,
                 )
-            pub, cells = _row_counts(row, t, line)
+            convert = counts.__getitem__ if len(counts) < _SHARED_COUNTS else float
+            pub, cells = _row_counts(row, t, line, convert)
             pubs.append(pub)
             cites.append(cells)
     except csv.Error as exc:

@@ -286,6 +286,20 @@ class TestValidate:
         )
         assert validate_collective(full, assert_partition=True).ok
 
+    def test_partition_check_reads_the_sum_kept_at_build(self, monkeypatch, china,
+                                                        scim_minus_china):
+        total = add(china, scim_minus_china)
+        partial = Collective(label="SCIM", total=total, constituents={"china": china})
+        full = Collective("SCIM", {"china": china, "rest": scim_minus_china}, total)
+
+        def refuse(*args):
+            raise AssertionError("constituents summed again")
+
+        monkeypatch.setattr("citerhythm.collective._sum_of", refuse)
+        report = validate_collective(partial, assert_partition=True)
+        assert [f.code for f in report.errors] == ["partition"]
+        assert validate_collective(full, assert_partition=True).ok
+
     def test_partition_sum_past_the_largest_float(self):
         # Each constituent fits inside the total, but their sum is infinite.
         part = small(pubs=(1e308, 1.0), cites=((0.0, 0.0), (0.0,)))

@@ -28,6 +28,7 @@ from citerhythm import (
     validate_collective,
     write_matrix,
 )
+from citerhythm import ingest
 from citerhythm.ingest import _format_count, _lines
 from helpers import random_matrix, zero
 
@@ -307,19 +308,70 @@ def test_error_position_matches_its_message(tmp_path, name, raw, error, line, co
     assert not str(err.value).startswith(where + ", column")
 
 
+def _assert_parses_as_expected(text: str, grid: list[list[str]]) -> None:
+    expected = _expected_parse(2000, grid)
+    if isinstance(expected, PCMatrix):
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(parse_matrix(text)) == repr(expected)
+        return
+    kind, line, column = expected
+    with pytest.raises(RhythmError) as err:
+        parse_matrix(text)
+    assert type(err.value) is kind
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+
 class TestParseEqualsCellByCellCheck:
     @given(damaged_documents())
     def test_parse_or_first_bad_cell(self, document):
-        text, grid = document
-        expected = _expected_parse(2000, grid)
-        if isinstance(expected, PCMatrix):
-            assert parse_matrix(text) == expected
-            return
-        kind, line, column = expected
-        with pytest.raises(RhythmError) as err:
-            parse_matrix(text)
-        assert type(err.value) is kind
-        assert str(err.value).startswith(f"line {line}, column {column}: ")
+        _assert_parses_as_expected(*document)
+
+    # With no shared texts, or with three, bad cells fall both before and
+    # after the switch to plain float.
+    @pytest.mark.parametrize("cap", [0, 3])
+    @given(document=damaged_documents())
+    def test_parse_or_first_bad_cell_either_side_of_the_cap(self, cap, document):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_SHARED_COUNTS", cap)
+            _assert_parses_as_expected(*document)
+
+
+class TestSharedCounts:
+    def test_equal_texts_share_one_float(self):
+        m = parse_matrix("year,pubs,2020,2021\n2020,7,2.5,7\n2021,7,,2.5\n")
+        assert m.cites[0][0] is m.cites[1][0]
+        assert m.pubs[0] is m.pubs[1] is m.cites[0][1]
+
+    def test_signed_zeros_keep_their_signs(self):
+        head = "year,pubs,2020,2021,2022\n"
+        m = parse_matrix(head + "2020,0,-0,0.0,0\n2021,-0,,0,-0\n2022,0.0,,,-0\n")
+        cells = [*m.pubs, *m.cites[0], *m.cites[1], *m.cites[2]]
+        assert cells == [0.0] * 9
+        assert [math.copysign(1, v) for v in cells] == [1, -1, 1, -1, 1, 1, 1, -1, -1]
+        assert write_matrix(m) == head + "2020,0,0,0,0\n2021,0,,0,0\n2022,0,,,0\n"
+
+    def test_each_document_has_its_own_counts(self):
+        text = "year,pubs,2020\n2020,3.5,3.5\n"
+        first, second = parse_matrix(text), parse_matrix(text)
+        assert first.pubs[0] is first.cites[0][0]
+        assert first.pubs[0] is not second.pubs[0]
+
+    def test_past_the_cap_cells_convert_as_float_does(self):
+        # 101 rows of all-distinct texts: 5,252 counts, more than the cap;
+        # the last rows hold negative zeros as well.
+        n = 101
+        rng = random.Random(22)
+        grid = [[repr(rng.uniform(0, 1e4)) for _ in range(n - t + 1)] for t in range(n)]
+        assert len({cell for row in grid for cell in row}) > ingest._SHARED_COUNTS
+        for row in grid[-2:]:
+            row[1:] = ["-0"] * (len(row) - 1)
+        lines = ["year,pubs," + ",".join(str(2000 + t) for t in range(n))]
+        lines += [f"{2000 + t},{row[0]},{',' * t}{','.join(row[1:])}" for t, row in enumerate(grid)]
+        m = parse_matrix("\n".join(lines) + "\n")
+        parsed = [[m.pubs[t], *m.cites[t]] for t in range(n)]
+        assert [list(map(repr, row)) for row in parsed] == [
+            [repr(float(cell)) for cell in row] for row in grid
+        ]
 
 
 _EXACT_INTEGERS = [0.0, -0.0, 2.0**53 + 2, 1e22, 1.7e308]
