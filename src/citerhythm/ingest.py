@@ -88,31 +88,41 @@ def _cell_value(cell: str, line: int, column: int) -> float:
 
 
 # Counts repeat heavily: a generated n=500 matrix has 125,750 cells but
-# 4,869 distinct cell texts. Parsing converts each distinct text once and
-# lets its cells share that float. Once this many texts are stored, the
-# document's later rows convert with plain ``float``, which bounds what
-# parsing holds for a document whose counts are all distinct.
+# 4,869 distinct cell texts. Within one document, parsing converts and
+# checks each distinct text once and lets its cells share that float, and
+# writing formats each distinct value once. Once this many are stored, the
+# document's later rows go cell by cell (parsing with plain ``float``,
+# writing as ``write_matrix`` says), which bounds what either holds for a
+# document whose counts are all distinct.
 _SHARED_COUNTS = 4096
 
 
 class _Counts(dict):
     """Cell text to count for one document: a text not yet seen is
-    converted with ``float`` and stored, so equal texts give one object."""
+    converted with ``float``, checked to be finite and non-negative, and
+    stored, so equal texts give one object. A bad text raises
+    ``ValueError`` and is not stored."""
 
     def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
+        value = float(text)
+        if not 0 <= value < math.inf:
+            raise ValueError(text)
+        self[text] = value
         return value
 
 
 def _row_counts(
-    row: list[str], t: int, line: int, convert: Callable[[str], float]
+    row: list[str], t: int, line: int, convert: Callable[[str], float], checked: bool
 ) -> tuple[float, tuple[float, ...]]:
     """Publication count and on-or-above-diagonal cells of data row ``t``.
 
-    The row is converted in bulk with ``convert`` (``float``, or a
-    document's ``_Counts`` lookup); a row that fails the bulk check is
-    walked cell by cell in reading order, which raises at its first bad
-    cell (or, when only the bulk sum overflowed, returns the same values).
+    The row is converted in bulk with ``convert``: a document's ``_Counts``
+    lookup, which rejects a bad count itself (``checked``), or plain
+    ``float``, whose row is then scanned for a negative or non-finite
+    count. A row that fails the bulk conversion or check is walked cell by
+    cell in reading order, which raises at its first bad cell (or, when
+    only the bulk sum of an unchecked row overflowed, returns the same
+    values).
     """
     try:
         pub = convert(row[1])
@@ -120,11 +130,9 @@ def _row_counts(
     except ValueError:
         pass
     else:
-        if (
-            pub >= 0
-            and min(cells) >= 0
-            and math.isfinite(sum(cells, pub))
-            and not any(row[2 : 2 + t])
+        if not any(row[2 : 2 + t]) and (
+            checked
+            or (pub >= 0 and min(cells) >= 0 and math.isfinite(sum(cells, pub)))
         ):
             return pub, cells
     pub = _cell_value(row[1], line, 2)
@@ -202,8 +210,9 @@ def parse_matrix(text: str, label: str = "") -> PCMatrix:
                     line,
                     1,
                 )
-            convert = counts.__getitem__ if len(counts) < _SHARED_COUNTS else float
-            pub, cells = _row_counts(row, t, line, convert)
+            shared = len(counts) < _SHARED_COUNTS
+            convert = counts.__getitem__ if shared else float
+            pub, cells = _row_counts(row, t, line, convert, checked=shared)
             pubs.append(pub)
             cites.append(cells)
     except csv.Error as exc:
@@ -222,17 +231,35 @@ def _format_count(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
+class _Texts(dict):
+    """Count to its CSV text for one document: a count not yet seen is
+    formatted with ``_format_count`` and stored. Counts that compare equal
+    share one text: 0.0 and -0.0 both write as 0."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _format_count(value)
+        return text
+
+
 def write_matrix(m: PCMatrix) -> str:
     """Render a matrix as canonical CSV (LF endings, blank cells below the
-    diagonal); parsing the result reproduces the matrix exactly."""
+    diagonal); parsing the result reproduces the matrix exactly.
+
+    Each distinct count is formatted once, while the document has stored
+    fewer than ``_SHARED_COUNTS`` of them. Later rows are formatted in one
+    call when all their counts are integers, and count by count otherwise.
+    """
     lines = ["year,pubs," + ",".join(map(str, m.years))]
+    texts = _Texts()
     for t, (year, pub, row) in enumerate(zip(m.years, m.pubs, m.cites)):
-        if all(map(float.is_integer, row)):
+        shared = len(texts) < _SHARED_COUNTS
+        text = texts.__getitem__ if shared else _format_count
+        if not shared and all(map(float.is_integer, row)):
             # %d gives str(int(x)) for every finite integer-valued float.
             cells = ("%d," * len(row))[:-1] % row
         else:
-            cells = ",".join(map(_format_count, row))
-        lines.append(f"{year},{_format_count(pub)},{',' * t}{cells}")
+            cells = ",".join(map(text, row))
+        lines.append(f"{year},{text(pub)},{',' * t}{cells}")
     return "\n".join(lines) + "\n"
 
 

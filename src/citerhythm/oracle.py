@@ -108,14 +108,18 @@ def corpus_from_matrix(m: PCMatrix) -> EventCorpus:
 def _remainder(count: float, parts: list[float]) -> float:
     """``count`` minus each of ``parts`` in turn; 0.0 when the parts add up
     to ``count`` within 2**-40 of the larger of the two, the rounding that
-    fractional shares of a count leave, whichever side it falls on."""
+    fractional shares of a count leave, whichever side it falls on. Where
+    both are whole counts below 2**53, only when they are equal."""
     weight, removed = count, 0.0
     for part in parts:
         weight -= part
         removed += part
-    if abs(removed - count) <= 2.0**-40 * max(removed, count):
-        return 0.0
-    return weight
+    larger = max(removed, count)
+    if larger < 2.0**53 and count.is_integer() and removed.is_integer():
+        same = removed == count
+    else:
+        same = abs(removed - count) <= 2.0**-40 * larger
+    return 0.0 if same else weight
 
 
 def rest_corpus(total: PCMatrix, removed: list[PCMatrix]) -> EventCorpus:

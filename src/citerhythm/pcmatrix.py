@@ -307,18 +307,25 @@ def _sum_of(matrices: Iterable[PCMatrix]) -> PCMatrix:
 
 
 # One count exceeds another only by more than this share of the larger.
-# Adding thousands of fractional shares rounds by far less, and any whole
-# count below 2**40 exceeds 2**-40 of it, so integer data compare exactly.
+# Adding thousands of fractional shares rounds by far less.
 _REL_TOL = 2.0**-40
+
+# Floats hold every whole count below this, and sums of such counts that
+# stay below it are exact, so two of them differ only by a real count.
+_EXACT_WHOLE = 2.0**53
 
 
 def _same(x: float, y: float) -> bool:
-    """Whether two counts are equal within the relative tolerance."""
-    return abs(x - y) <= _REL_TOL * max(x, y)
+    """Whether two counts are equal: exactly when both are whole counts
+    below ``_EXACT_WHOLE``, otherwise within the relative tolerance."""
+    larger = max(x, y)
+    if larger < _EXACT_WHOLE and x.is_integer() and y.is_integer():
+        return x == y
+    return abs(x - y) <= _REL_TOL * larger
 
 
 def _first_excess(a: PCMatrix, b: PCMatrix) -> str | None:
-    """The first cell where ``b`` exceeds ``a`` beyond the tolerance,
+    """The first cell where ``b`` exceeds ``a`` under the rule of ``_same``,
     publications first, as ``publications of year <year>: y > x`` or
     ``citations (i, j): y > x``; None when ``b`` is contained in ``a``.
     Builds no matrix."""

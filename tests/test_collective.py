@@ -112,6 +112,38 @@ class TestComplement:
     def test_adds_back_to_total(self, scim, china):
         assert add(complement(scim, {"china"}), china) == scim.total
 
+    @pytest.mark.parametrize("e", [40, 41, 52])
+    def test_whole_rest_beside_a_large_actor(self, e):
+        # Whole counts below 2**53 subtract exactly, however large.
+        c = beside_a_large_actor(e)
+        rest = complement(c, {"a", "b"})
+        assert rest.pubs == (2.0, 0.0)
+        assert ck_profile(rest) == collective._rest_profile(c, {"a", "b"})
+        assert ck_profile(rest).values == (0.0, 3.0)
+        assert_matches_complements(c)
+
+    @pytest.mark.parametrize("e", [53, 60])
+    def test_whole_rest_past_2_53_is_lost_by_complement(self, e):
+        # A known limit: 2**e + 3 does not fit in a float, so the total and
+        # the complement's cells lose the rest's publications. Comparisons
+        # subtract exact ints and keep them.
+        c = beside_a_large_actor(e)
+        rest = complement(c, {"a", "b"})
+        assert rest.pubs == (0.0, 0.0)
+        with pytest.raises(DataConsistencyError, match="age 2 has 6.0 citations"):
+            ck_profile(rest)
+        assert collective._rest_profile(c, {"a", "b"}).values == (0.0, 3.0)
+
+
+def beside_a_large_actor(e):
+    """A collective whose rest without ``a`` and ``b`` is 2 papers of 2001,
+    cited 6 times in 2002, beside ``a``'s 2**e papers of 2001."""
+    return Collective("C", {
+        "a": PCMatrix(2001, (2.0**e, 1.0), ((0.0, 0.0), (0.0,))),
+        "b": PCMatrix(2001, (1.0, 1.0), ((0.0, 0.0), (0.0,))),
+        "r": PCMatrix(2001, (2.0, 0.0), ((0.0, 6.0), (0.0,))),
+    })
+
 
 class TestActorVsCollective:
     def test_china_matches_published_external(self, scim, golden):
@@ -368,6 +400,13 @@ class TestContainment:
         assert str(err.value) == (
             "C: constituents sum past the total at publications of year 2000: 12.0 > 10.0"
         )
+
+    def test_whole_excess_beside_a_large_count_is_rejected(self):
+        # 2 is within 2**-40 of 2**41, but whole counts compare exactly.
+        total = small("T", pubs=(2.0**41, 1.0), cites=((0.0, 0.0), (0.0,)))
+        a = small("A", pubs=(2.0**41 + 2, 1.0), cites=((0.0, 0.0), (0.0,)))
+        with pytest.raises(SubsetError, match="2199023255554.0 > 2199023255552.0"):
+            Collective(label="C", total=total, constituents={"a": a})
 
 
 def one_year(label, pubs, cites):
@@ -725,12 +764,12 @@ class TestSumsMatchComplements:
         assert_matches_complements(c)
 
     def test_counts_past_the_tolerance_bound(self):
-        # 2**41 - 1 is within 2**-40 of 2**41, so subtract calls them the
-        # same and leaves 0, where subtracting sums would leave 1.
+        # 2**41 - 1 is within 2**-40 of 2**41, but whole counts below 2**53
+        # subtract exactly, so subtract leaves 1, as subtracting sums does.
         total = small("T", pubs=(2.0, 2.0), cites=((2.0**41, 0.0), (1.0,)))
         a = small("A", pubs=(1.0, 1.0), cites=((2.0**41 - 1, 0.0), (0.0,)))
         c = Collective(label="C", total=total, constituents={"a": a})
-        assert complement(c, {"a"}).cites[0][0] == 0.0
+        assert complement(c, {"a"}).cites[0][0] == 1.0
         assert_matches_complements(c)
 
     def test_exact_sums_are_computed_once_at_build(self, monkeypatch):

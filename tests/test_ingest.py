@@ -3,6 +3,7 @@ import io
 import math
 import random
 import tracemalloc
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given
@@ -373,6 +374,34 @@ class TestSharedCounts:
             [repr(float(cell)) for cell in row] for row in grid
         ]
 
+    @pytest.mark.parametrize("text", ["-1", "nan", "inf", "1e400"])
+    def test_bad_texts_are_never_stored(self, text, monkeypatch):
+        counts = ingest._Counts()
+        with pytest.raises(ValueError):
+            counts[text]
+        assert text not in counts
+        memos = []
+
+        class Recorded(ingest._Counts):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(ingest, "_Counts", Recorded)
+        with pytest.raises(DomainError):
+            parse_matrix(f"year,pubs,2020,2021\n2020,1,2,{text}\n2021,1,,3\n")
+        assert [list(memo) for memo in memos] == [["1", "2"]]
+
+    @pytest.mark.parametrize("cap", [ingest._SHARED_COUNTS, 0, 3])
+    @pytest.mark.parametrize("text", ["-1", "nan", "inf", "1e400"])
+    def test_repeated_bad_text_raises_at_its_first_position(self, cap, text, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_COUNTS", cap)
+        rows = ["2020,1,2,3,4", f"2021,5,,6,{text}", f"2022,{text},,,{text}"]
+        with pytest.raises(DomainError) as err:
+            parse_matrix("year,pubs,2020,2021,2022\n" + "\n".join(rows) + "\n")
+        assert (err.value.line, err.value.column) == (3, 5)
+        assert repr(text) in str(err.value)
+
 
 _EXACT_INTEGERS = [0.0, -0.0, 2.0**53 + 2, 1e22, 1.7e308]
 _INTEGER_COUNTS = st.one_of(st.sampled_from(_EXACT_INTEGERS), st.integers(0, 10**6).map(float))
@@ -428,20 +457,94 @@ class TestWrite:
 
     @given(written_matrices())
     def test_equals_cell_by_cell_formatting(self, m):
-        text = write_matrix(m)
-        assert text == _written_cell_by_cell(m)
-        assert parse_matrix(text) == m
+        _assert_written_cell_by_cell(m)
 
     def test_roundtrip_random(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            m = random_matrix(
-                rng,
-                n=rng.randint(1, 15),
-                min_pubs=0,
-                fractional=rng.random() < 0.5,
-            )
-            assert parse_matrix(write_matrix(m)) == m
+        _assert_roundtrip_random()
+
+    # With no shared texts, or with three, rows fall both before and after
+    # the switch to formatting row by row.
+    @pytest.mark.parametrize("cap", [0, 3])
+    @given(m=written_matrices())
+    def test_equals_cell_by_cell_formatting_either_side_of_the_cap(self, cap, m):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_SHARED_COUNTS", cap)
+            _assert_written_cell_by_cell(m)
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_roundtrip_random_either_side_of_the_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_COUNTS", cap)
+        _assert_roundtrip_random()
+
+    @pytest.mark.parametrize("cap", [ingest._SHARED_COUNTS, 0, 3])
+    def test_signed_zeros_large_integers_and_fractions(self, cap, monkeypatch):
+        monkeypatch.setattr(ingest, "_SHARED_COUNTS", cap)
+        m = PCMatrix(
+            2000,
+            (-0.0, 0.0, 2.0**53, 1 / 3),
+            (
+                (0.0, -0.0, 2.0**53 + 2, 1e22),
+                (1.7e308, 0.1, 2.5),
+                (2.0**51 + 0.5, 5e-324),
+                (1e-05,),
+            ),
+        )
+        text = write_matrix(m)
+        assert text == _written_cell_by_cell(m)
+        lines = text.splitlines()
+        assert lines[1] == "2000,0,0,0,9007199254740994,10000000000000000000000"
+        assert lines[2].startswith("2001,0,,1699999999999999")
+        assert lines[3] == "2002,9007199254740992,,,2251799813685248.5,5e-324"
+        assert lines[4] == "2003,0.3333333333333333,,,,1e-05"
+        assert parse_matrix(text) == m
+
+    def test_each_distinct_count_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return _format_count(value)
+
+        monkeypatch.setattr(ingest, "_format_count", counted)
+        m = random_matrix(random.Random(5), n=60, max_cites=9)
+        text = write_matrix(m)
+        distinct = set(chain(m.pubs, *m.cites))
+        assert sorted(calls) == sorted(distinct)
+        assert text == _written_cell_by_cell(m)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_past_the_cap_equals_cell_by_cell(self, fractional):
+        # n = 500 with all-distinct counts: more than the cap, so the later
+        # rows are formatted without the shared texts.
+        rng = random.Random(23)
+        if fractional:
+            counts = iter(lambda: rng.uniform(0, 1e4), None)
+        else:
+            counts = map(float, rng.sample(range(10**9), 126_000))
+        n = 500
+        pubs = tuple(islice(counts, n))
+        cites = tuple(tuple(islice(counts, n - t)) for t in range(n))
+        m = PCMatrix(1500, pubs, cites)
+        assert len(set(chain(pubs, *cites))) > ingest._SHARED_COUNTS
+        assert write_matrix(m) == _written_cell_by_cell(m)
+
+
+def _assert_written_cell_by_cell(m: PCMatrix) -> None:
+    text = write_matrix(m)
+    assert text == _written_cell_by_cell(m)
+    assert parse_matrix(text) == m
+
+
+def _assert_roundtrip_random() -> None:
+    rng = random.Random(99)
+    for _ in range(200):
+        m = random_matrix(
+            rng,
+            n=rng.randint(1, 15),
+            min_pubs=0,
+            fractional=rng.random() < 0.5,
+        )
+        assert parse_matrix(write_matrix(m)) == m
 
 
 class TestMatrixFile:

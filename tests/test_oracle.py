@@ -234,6 +234,16 @@ class TestComparisonsMatchBruteForce:
         assert (rest.pub_weights, rest.events) == ((0.0,), ())
         self.assert_match(Collective(label="C", total=total, constituents={"a": a, "b": b}))
 
+    @pytest.mark.parametrize("e", [41, 52])
+    def test_whole_rest_beside_a_large_actor(self, e):
+        # Whole counts below 2**53 subtract exactly, as in the matrix path.
+        total = PCMatrix(2000, (2.0**e + 3,), ((6.0,),), "T")
+        a = PCMatrix(2000, (2.0**e,), ((0.0,),), "A")
+        b = PCMatrix(2000, (1.0,), ((0.0,),), "B")
+        rest = rest_corpus(total, [a, b])
+        assert (rest.pub_weights, rest.events) == ((2.0,), (CitationEvent(2000, 2000, 6.0),))
+        self.assert_match(Collective(label="C", total=total, constituents={"a": a, "b": b}))
+
     def test_rest_corpus_rejects_a_part_outside_the_total(self, china, scim_total):
         with pytest.raises(DomainError):
             rest_corpus(china, [scim_total])
