@@ -22,15 +22,19 @@ _COLORS = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 _REFERENCE = 1.0
 
 
+# XML 1.0 allows no C0 control but tab, LF and CR, no lone surrogate and
+# neither U+FFFE nor U+FFFF: each prints as U+FFFD.
+_FORBIDDEN = [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
+_ESCAPES = {
+    **dict.fromkeys(_FORBIDDEN, "\ufffd"),
+    **{ord(c): f"&{name};" for c, name in (("&", "amp"), ("<", "lt"), (">", "gt"), ('"', "quot"))},
+}
+
+
 def _escape(text: str) -> str:
-    """XML-escape text for an element or a double-quoted attribute. ``&``
-    goes first so the entities added for the other characters stay intact."""
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    """XML-escape text for an element or a double-quoted attribute, with
+    each character XML forbids replaced by U+FFFD."""
+    return text.translate(_ESCAPES)
 
 
 def _ticks(upper: float, count: int = 5) -> list[float]:

@@ -51,19 +51,26 @@ def _write(args: argparse.Namespace, text: str) -> int:
     return 0
 
 
-def _emit_table(
+def _emit(
     args: argparse.Namespace,
     title: str,
+    series: list[tuple[str, RhythmSequence]],
     headers: list[str],
     rows: list[list[float | str | None]],
     csv_footers: list[list[float | str | None]],
     text_footers: list[list[float | str | None]],
 ) -> int:
-    """Write a table as csv (headers, rows, then ``csv_footers`` as more
-    rows) or as text (``title``, right-aligned columns, then each of
-    ``text_footers`` with its cells joined as they are). Numbers print at
-    ``--decimals`` places; None, an undefined value, prints as an empty
-    csv cell and as ``-`` in text."""
+    """Write a command's result in ``--format``: svg draws ``series``
+    (labelled sequences) as a line chart; csv writes headers, rows, then
+    ``csv_footers`` as more rows; text writes ``title``, right-aligned
+    columns, then each of ``text_footers`` with its cells joined as they
+    are. Numbers print at ``--decimals`` places; None, an undefined value,
+    prints as an empty csv cell and as ``-`` in text."""
+    if args.format == "svg":
+        # Only svg output draws, so other runs do not load the chart module.
+        from .chart import line_chart
+
+        return _write(args, line_chart(title, series))
 
     def cell(value: float | str | None, missing: str) -> str:
         if value is None:
@@ -83,15 +90,6 @@ def _emit_table(
     return _write(args, "\n".join(lines) + "\n")
 
 
-def _emit_chart(
-    args: argparse.Namespace, title: str, sequences: list[tuple[str, RhythmSequence]]
-) -> int:
-    # Only svg output draws, so other runs do not load the chart module.
-    from .chart import line_chart
-
-    return _write(args, line_chart(title, sequences))
-
-
 def _emit_rhythm(
     args: argparse.Namespace,
     title: str,
@@ -100,25 +98,18 @@ def _emit_rhythm(
 ) -> int:
     """One rhythm's per-year derivation (with the publications column when
     ``pubs`` is given), I1 and I2, or its chart."""
-    if args.format == "svg":
-        return _emit_chart(args, title, [(seq.observed_label or "ratio", seq)])
-    headers = ["year", "observed", "ck", "expected", "ratio"]
-    rows = [
-        [str(year), observed, ck, expected, ratio]
-        for year, observed, ck, expected, ratio in zip(
-            seq.years, seq.observed, seq.profile.values, seq.expected, seq.ratios
-        )
-    ]
+    columns = {"observed": seq.observed, "ck": seq.profile.values,
+               "expected": seq.expected, "ratio": seq.ratios}
     if pubs is not None:
-        headers.insert(1, "pubs")
-        for row, count in zip(rows, pubs):
-            row.insert(1, count)
+        columns = {"pubs": pubs, **columns}
+    rows = [[str(year), *cells] for year, *cells in zip(seq.years, *columns.values())]
     text_footers = [["I1 = ", seq.i1], ["I2 = ", seq.i2]]
     if seq.undefined_years:
         years = ", ".join(str(y) for y in seq.undefined_years)
         text_footers.append([f"undefined ratio (expected = 0) in: {years}"])
+    series = [(seq.observed_label or "ratio", seq)]
     csv_footers = [["I1", seq.i1], ["I2", seq.i2]]
-    return _emit_table(args, title, headers, rows, csv_footers, text_footers)
+    return _emit(args, title, series, ["year", *columns], rows, csv_footers, text_footers)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -162,8 +153,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     result = actor_vs_actor(load_manifest(args.manifest), a, b)
     seq_a, seq_b = result.sequences[a], result.sequences[b]
     title = f"Comparison: {a} vs {b} (baseline {result.baseline_label})"
-    if args.format == "svg":
-        return _emit_chart(args, title, [(a, seq_a), (b, seq_b)])
     rows: list[list[float | str | None]] = []
     for year, ra, rb, winner in zip(seq_a.years, seq_a.ratios, seq_b.ratios,
                                     result.per_year_winner):
@@ -175,7 +164,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     text_footers = [
         [f"{actor}: I1 = ", seq.i1, ", I2 = ", seq.i2] for actor, seq in ((a, seq_a), (b, seq_b))
     ]
-    return _emit_table(args, title, ["year", a, b, "winner"], rows, csv_footers, text_footers)
+    return _emit(args, title, [(a, seq_a), (b, seq_b)], ["year", a, b, "winner"], rows,
+                 csv_footers, text_footers)
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
@@ -186,7 +176,7 @@ def _cmd_windows(args: argparse.Namespace) -> int:
         for start, seq in sliding_windows(m, args.width).entries
     ]
     title = f"Sliding windows (width {args.width}): {m.label}"
-    return _emit_table(args, title, headers, rows, [], [])
+    return _emit(args, title, [], headers, rows, [], [])
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:

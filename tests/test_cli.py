@@ -268,20 +268,23 @@ class TestInternal:
         assert len(reflines) == 1
         assert reflines[0].get("data-level") == "1"
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "china.csv.out"
-        code, out, _ = run(
-            capsys,
-            "internal",
-            str(fixture_path("china.csv")),
-            "--format",
-            "csv",
-            "--out",
-            str(target),
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["internal", str(fixture_path("china.csv")), "--format", "text"],
+            ["internal", str(fixture_path("china.csv")), "--format", "csv"],
+            ["internal", str(fixture_path("china.csv")), "--format", "svg"],
+            ["compare", manifest(), "--a", "brazil", "--b", "netherlands", "--format", "svg"],
+        ],
+        ids=["internal-text", "internal-csv", "internal-svg", "compare-svg"],
+    )
+    def test_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "result.out"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        code, stdout, _ = run(capsys, *argv)
         assert code == 0
-        assert out == ""
-        assert target.read_text().startswith("year,observed")
+        assert target.read_bytes() == stdout.encode("utf-8")
 
 
 class TestBadInput:
@@ -357,6 +360,18 @@ class TestExternal:
             el for el in svg_elements(out, "polyline") if el.get("class") == "series"
         ]
         assert [el.get("data-label") for el in series] == [label]
+
+    def test_svg_replaces_characters_xml_forbids(self, capsys, tmp_path):
+        # Only LF ends a manifest line, so a form feed stays in the label.
+        p = tmp_path / "ff.manifest"
+        p.write_text(
+            f"[collective]\nlabel = S\fX\ntotal = {fixture_path('scim_total.csv')}\n\n"
+            f"[actor]\nid = china\nlabel = C\x01N\npath = {fixture_path('china.csv')}\n"
+        )
+        code, out, _ = run(capsys, "external", str(p), "--actor", "china", "--format", "svg")
+        assert code == 0
+        (title,) = [el for el in svg_elements(out, "text") if el.get("class") == "title"]
+        assert title.text == "External rhythm: C\ufffdN vs S\ufffdX \\ {china}"
 
 
 class TestCompare:
