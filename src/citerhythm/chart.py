@@ -25,16 +25,21 @@ _REFERENCE = 1.0
 # XML 1.0 allows no C0 control but tab, LF and CR, no lone surrogate and
 # neither U+FFFE nor U+FFFF: each prints as U+FFFD.
 _FORBIDDEN = [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
-_ESCAPES = {
+# A parser reads a literal CR as LF, and in an attribute value it reads a
+# literal tab, LF or CR as a space, so those are written as references.
+_TEXT_ESCAPES = {
     **dict.fromkeys(_FORBIDDEN, "\ufffd"),
     **{ord(c): f"&{name};" for c, name in (("&", "amp"), ("<", "lt"), (">", "gt"), ('"', "quot"))},
+    ord("\r"): "&#13;",
 }
+_ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES, ord("\t"): "&#9;", ord("\n"): "&#10;"}
 
 
-def _escape(text: str) -> str:
-    """XML-escape text for an element or a double-quoted attribute, with
-    each character XML forbids replaced by U+FFFD."""
-    return text.translate(_ESCAPES)
+def _escape(text: str, escapes: dict[int, str] = _TEXT_ESCAPES) -> str:
+    """XML-escape text for an element, or with ``_ATTRIBUTE_ESCAPES`` for a
+    double-quoted attribute, so that a parser reads back every character
+    but those XML forbids, which become U+FFFD."""
+    return text.translate(escapes)
 
 
 def _ticks(upper: float, count: int = 5) -> list[float]:
@@ -125,7 +130,7 @@ def line_chart(title: str, sequences: list[tuple[str, RhythmSequence]]) -> str:
         color = _COLORS[idx % len(_COLORS)]
         pts = " ".join(f"{x(yr):.1f},{y(v):.1f}" for yr, v in points)
         out.append(
-            f'<polyline class="series" data-label="{_escape(label)}" points="{pts}" '
+            f'<polyline class="series" data-label="{_escape(label, _ATTRIBUTE_ESCAPES)}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="2"{dash}/>'
         )
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import AlignmentError, DomainError, WindowError
-from .pcmatrix import CkProfile, PCMatrix, _check_aligned, _Record, ck_profile
+from .pcmatrix import _EXACT_WHOLE, CkProfile, PCMatrix, _check_aligned, _Record, ck_profile
 
 __all__ = [
     "RhythmPoint",
@@ -176,10 +176,79 @@ def summary_i2_lenient(seq: RhythmSequence) -> tuple[float, int] | None:
 def sliding_windows(m: PCMatrix, window: int) -> WindowSeries:
     """Internal rhythms of every width-``window`` sub-matrix, shifted one
     year at a time. Per-age profiles are recomputed inside each window,
-    since each sub-window is a self-contained p-c matrix."""
+    since each sub-window is a self-contained p-c matrix: each entry equals
+    ``internal_rhythm(m.window(start, window))``, or the same error is
+    raised."""
     if window < 1 or window > m.n:
         raise WindowError(f"window width {window} outside 1..{m.n}")
-    entries = []
-    for start in range(m.first_year, m.last_year - window + 2):
-        entries.append((start, internal_rhythm(m.window(start, window))))
+    entries = _all_windows(m, window)
+    if entries is None:
+        entries = [(start, internal_rhythm(m.window(start, window)))
+                   for start in range(m.first_year, m.last_year - window + 2)]
     return WindowSeries(tuple(entries))
+
+
+def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None:
+    """The entries of ``sliding_windows(m, w)``, computed one column (one
+    row or age of every window) at a time from running sums, with no window
+    matrix. None where the windows must be computed one by one: cells that
+    are not whole or sum to ``_EXACT_WHOLE`` or more, a window whose first
+    year has no publications, an expected value of 0, or a failed check.
+
+    The windows add exactly the publications and the first ``w`` diagonals
+    of ``m.cites``. Whole counts whose float sum stays below
+    ``_EXACT_WHOLE`` add exactly at every step, so any sum of them, in any
+    order, equals the window's own ``sum``; the per-age averages, running
+    averages, expected values and ratios then repeat the float operations
+    of ``_profile``, ``_expected`` and ``_assemble`` exactly."""
+    n, pubs, label = m.n, m.pubs, m.label
+    count = n - w + 1
+    diagonals = [list(map(operator.itemgetter(a), m.cites[: n - a])) for a in range(w)]
+    # Each window's first-year publications divide every one of its ages.
+    if not (min(pubs[:count]) > 0 and all(map(float.is_integer, chain(pubs, *diagonals)))):
+        return None
+    cumulative = list(accumulate(pubs, initial=0.0))
+    running = [list(accumulate(cells, initial=0.0)) for cells in diagonals]
+    del diagonals
+    # Every partial sum is at most the final one, so the final sums bound them all.
+    if not (cumulative[-1] < _EXACT_WHOLE and sum(r[-1] for r in running) < _EXACT_WHOLE):
+        return None
+    rows = [list(accumulate(row[:w], initial=0.0)) for row in m.cites]
+    ages, observed, expected, ratios = [], [], [], []
+    for a, sums in enumerate(running):
+        # Age a of window s: diagonal a over its first w - a years.
+        ck = list(map(operator.truediv, map(operator.sub, sums[w - a :], sums),
+                      map(operator.sub, cumulative[w - a :], cumulative)))
+        running[a] = None
+        mean = ck if a == 0 else list(map(operator.add, mean, ck))
+        ages.append(ck)
+        # Row t = w - 1 - a of each window expects its publications times
+        # the running average up to age a.
+        t = w - 1 - a
+        e = list(map(operator.mul, pubs[t : t + count], mean))
+        if not min(e) > 0:
+            return None
+        o = list(map(operator.itemgetter(w - t), rows[t : t + count]))
+        expected.append(e)
+        observed.append(o)
+        ratios.append(list(map(operator.truediv, o, e)))
+    del rows, cumulative
+    # The row columns came last row first.
+    entries = []
+    for start, o, e, r, values in zip(range(m.first_year, m.first_year + count),
+                                      zip(*reversed(observed)), zip(*reversed(expected)),
+                                      zip(*reversed(ratios)), zip(*ages)):
+        total = sum(e)
+        i1 = sum(o) / total
+        i2 = sum(r) / w
+        if not all(map(math.isfinite, (total, max(r), i1, i2))):
+            return None
+        try:
+            profile = CkProfile(values=values, source_label=label)
+        except DomainError:
+            return None
+        entries.append((start, RhythmSequence(
+            years=tuple(range(start, start + w)), observed=o, expected=e, ratios=r,
+            observed_label=label, profile=profile, i1=i1, i2=i2, undefined_years=(),
+        )))
+    return entries

@@ -22,8 +22,16 @@ from citerhythm import (
     sliding_windows,
     summary_i2_lenient,
 )
+from citerhythm import rhythm
 from citerhythm.cli import main
-from helpers import random_matrix, rel_err, scale_cites, scale_pubs
+from helpers import (
+    random_matrix,
+    rel_err,
+    scale_cites,
+    scale_pubs,
+    window_matrix,
+    windows_match_one_by_one,
+)
 
 
 def toy3() -> PCMatrix:
@@ -255,10 +263,27 @@ class TestSlidingWindows:
         assert seq2.i2 == pytest.approx(float(Fraction(25, 27) + Fraction(5, 4)) / 2, rel=1e-12)
 
     def test_internal_mode_matches_manual_extraction(self, brazil):
-        series = sliding_windows(brazil, 4)
-        for start, seq in series.entries:
-            manual = internal_rhythm(brazil.window(start, 4))
-            assert seq.ratios == manual.ratios
+        # Whole, fractional, near-2**53 and extreme counts, years without
+        # publications and undefined ratios; failing inputs must raise the
+        # same error. Whole counts must take the all-windows path often.
+        rng = random.Random(26)
+        cases = [(brazil, 4)] + [
+            (m, w) for m in (window_matrix(rng) for _ in range(400)) for w in range(1, m.n + 1)
+        ]
+        assert [(m.label, w) for m, w in cases if not windows_match_one_by_one(m, w)] == []
+        at_once = sum(rhythm._all_windows(m, w) is not None for m, w in cases)
+        assert at_once > len(cases) / 5
+
+    def test_whole_counts_build_no_window_matrix(self, brazil, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("window matrix built")
+
+        monkeypatch.setattr(PCMatrix, "window", refuse)
+        assert len(sliding_windows(brazil, 4).entries) == brazil.n - 3
+        assert len(sliding_windows(random_matrix(random.Random(5), n=30), 20).entries) == 11
+        fractional = random_matrix(random.Random(5), n=6, fractional=True)
+        with pytest.raises(AssertionError, match="window matrix built"):
+            sliding_windows(fractional, 3)
 
     def test_width_out_of_range(self, china):
         with pytest.raises(WindowError):
