@@ -111,30 +111,22 @@ class _Counts(dict):
         return value
 
 
-def _row_counts(
-    row: list[str], t: int, line: int, convert: Callable[[str], float], checked: bool
-) -> tuple[float, tuple[float, ...]]:
-    """Publication count and on-or-above-diagonal cells of data row ``t``.
+# A data row's counts are read in bulk when the row passes every check, and
+# cell by cell (``_row_counts``) otherwise. In bulk, the publications and
+# the cells on or above the diagonal are converted with ``convert``: a
+# document's ``_Counts`` lookup, which rejects a bad count itself
+# (``checked``), or plain ``float``, whose row is then scanned for a
+# negative or non-finite count. Each reader returns None where the row
+# fails a check, and the row then goes cell by cell.
+_Convert = Callable[[str], float]
+_RowCounts = tuple[float, tuple[float, ...]]
 
-    The row is converted in bulk with ``convert``: a document's ``_Counts``
-    lookup, which rejects a bad count itself (``checked``), or plain
-    ``float``, whose row is then scanned for a negative or non-finite
-    count. A row that fails the bulk conversion or check is walked cell by
-    cell in reading order, which raises at its first bad cell (or, when
-    only the bulk sum of an unchecked row overflowed, returns the same
-    values).
-    """
-    try:
-        pub = convert(row[1])
-        cells = tuple(map(convert, row[2 + t :]))
-    except ValueError:
-        pass
-    else:
-        if not any(row[2 : 2 + t]) and (
-            checked
-            or (pub >= 0 and min(cells) >= 0 and math.isfinite(sum(cells, pub)))
-        ):
-            return pub, cells
+
+def _row_counts(row: list[str], t: int, line: int) -> _RowCounts:
+    """Publication count and on-or-above-diagonal cells of data row ``t``,
+    checked cell by cell in reading order: raises at the first bad cell, or
+    returns the values the bulk reading would (when only the bulk sum of an
+    unchecked row overflowed)."""
     pub = _cell_value(row[1], line, 2)
     for column, cell in enumerate(row[2 : 2 + t], 3):
         if cell != "":
@@ -143,6 +135,70 @@ def _row_counts(
         _cell_value(cell, line, column) for column, cell in enumerate(row[2 + t :], 3 + t)
     )
     return pub, cells
+
+
+def _bulk_counts(
+    pub: str, texts: list[str], convert: _Convert, checked: bool
+) -> _RowCounts | None:
+    try:
+        value = convert(pub)
+        cells = tuple(map(convert, texts))
+    except ValueError:
+        return None
+    if checked or (value >= 0 and min(cells) >= 0 and math.isfinite(sum(cells, value))):
+        return value, cells
+    return None
+
+
+def _split_counts(
+    line: str, t: int, n: int, year: str, convert: _Convert, checked: bool
+) -> _RowCounts | None:
+    """Row ``t`` from its ``line`` of a document without ``"``. Only the
+    row's year, its publications and its ``n - t`` cells are split off; its
+    ``t`` blanks are checked as one run of commas. A line past csv's field
+    size limit is left to ``_fields``."""
+    if len(line) > csv.field_size_limit():
+        return None
+    parts = line.rstrip("\r\n").split(",", 2)
+    if len(parts) != 3 or parts[0] != year or not parts[2].startswith("," * t):
+        return None
+    texts = parts[2][t:].split(",")
+    if len(texts) != n - t:
+        return None
+    return _bulk_counts(parts[1], texts, convert, checked)
+
+
+def _csv_counts(
+    row: list[str], t: int, n: int, year: str, convert: _Convert, checked: bool
+) -> _RowCounts | None:
+    """Row ``t`` from the fields ``csv.reader`` gave for it."""
+    if len(row) != n + 2 or row[0] != year or any(row[2 : 2 + t]):
+        return None
+    return _bulk_counts(row[1], row[2 + t :], convert, checked)
+
+
+def _fields(line: str, number: int) -> list[str]:
+    """The fields ``csv.reader`` gives for line ``number`` of a document
+    without ``"``, whose only CR is one before an LF: the line split at every
+    comma, no field for an empty line, and csv's own reading, or its error,
+    for a line longer than the field size limit."""
+    if len(line) > csv.field_size_limit():
+        try:
+            return next(csv.reader([line]))
+        except csv.Error as exc:
+            raise LayoutError(str(exc), number) from None
+    line = line.rstrip("\r\n")
+    return line.split(",") if line else []
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows ``csv.reader`` gives for ``text``; a csv error is a
+    ``LayoutError`` at the line the reader stopped on."""
+    reader = csv.reader(_lines(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LayoutError(str(exc), reader.line_num) from None
 
 
 def _check_line_ends(text: str, error: type[RhythmError]) -> None:
@@ -168,55 +224,68 @@ def _lines(text: str) -> Iterator[str]:
 def parse_matrix(text: str, label: str = "") -> PCMatrix:
     """Parse a matrix CSV document into a :class:`PCMatrix`.
 
-    Each data row is converted as the reader yields it, so parsing holds
-    one row's cell text, plus at most ``_SHARED_COUNTS`` distinct cell
-    texts (and those of the row that reaches that number), whose cells
-    share one float each. The first fault in reading order is the one
-    reported; the row count is checked after the last row.
+    A document without ``"`` is read line by line: a data row that passes
+    every check is split only at its year, its publications and its cells
+    on or above the diagonal, and any other row is split into the fields
+    ``csv.reader`` would give and checked cell by cell. Only a document
+    that quotes a field is read by ``csv.reader``. Parsing holds one
+    row's text, plus at most ``_SHARED_COUNTS`` distinct cell texts (and
+    those of the row that reaches that number), whose cells share one float
+    each. The first fault in reading order is the one reported; the row
+    count is checked after the last row.
     """
     _check_line_ends(text, LayoutError)
-    reader = csv.reader(_lines(text))
+    quoted = '"' in text
+    rows = _csv_rows(text) if quoted else _lines(text)
+    header = next(rows, None)
+    if header is None:
+        raise LayoutError("empty document", 1)
+    if not quoted:
+        header = _fields(header, 1)
+    if len(header) < 3 or header[0] != "year" or header[1] != "pubs":
+        raise LayoutError('header must be "year,pubs,<first citing year>,..."', 1)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise LayoutError("empty document", 1)
-        if len(header) < 3 or header[0] != "year" or header[1] != "pubs":
-            raise LayoutError('header must be "year,pubs,<first citing year>,..."', 1)
-        try:
-            citing_years = [int(y) for y in header[2:]]
-        except ValueError:
-            raise LayoutError("citing-year columns must be integers", 1) from None
-        n = len(citing_years)
-        if citing_years != list(range(citing_years[0], citing_years[0] + n)):
-            raise LayoutError("citing years must be consecutive and ascending", 1)
+        citing_years = [int(y) for y in header[2:]]
+    except ValueError:
+        raise LayoutError("citing-year columns must be integers", 1) from None
+    n = len(citing_years)
+    if citing_years != list(range(citing_years[0], citing_years[0] + n)):
+        raise LayoutError("citing years must be consecutive and ascending", 1)
 
-        pubs: list[float] = []
-        cites: list[tuple[float, ...]] = []
-        counts = _Counts()
-        line = 1
-        for line, row in enumerate(reader, 2):
-            t = line - 2
-            if t >= n:
-                continue  # counted only; the row count is checked below
-            if len(row) != n + 2:
-                raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
-            try:
-                year = int(row[0])
-            except ValueError:
-                raise MatrixParseError(f"not a year: {row[0]!r}", line, 1) from None
-            if year != citing_years[t]:
-                raise LayoutError(
-                    f"publication year {year} out of order, expected {citing_years[t]}",
-                    line,
-                    1,
-                )
+    pubs: list[float] = []
+    cites: list[tuple[float, ...]] = []
+    counts = _Counts()
+    bulk_counts = _csv_counts if quoted else _split_counts
+    line = 1
+    for line, row in enumerate(rows, 2):
+        t = line - 2
+        if t < n:
             shared = len(counts) < _SHARED_COUNTS
             convert = counts.__getitem__ if shared else float
-            pub, cells = _row_counts(row, t, line, convert, checked=shared)
-            pubs.append(pub)
-            cites.append(cells)
-    except csv.Error as exc:
-        raise LayoutError(str(exc), reader.line_num) from None
+            found = bulk_counts(row, t, n, str(citing_years[t]), convert, shared)
+            if found is not None:
+                pubs.append(found[0])
+                cites.append(found[1])
+                continue
+        if not quoted:
+            row = _fields(row, line)
+        if t >= n:
+            continue  # counted only; the row count is checked below
+        if len(row) != n + 2:
+            raise LayoutError(f"expected {n + 2} cells, found {len(row)}", line)
+        try:
+            year = int(row[0])
+        except ValueError:
+            raise MatrixParseError(f"not a year: {row[0]!r}", line, 1) from None
+        if year != citing_years[t]:
+            raise LayoutError(
+                f"publication year {year} out of order, expected {citing_years[t]}",
+                line,
+                1,
+            )
+        pub, cells = _row_counts(row, t, line)
+        pubs.append(pub)
+        cites.append(cells)
     if line - 1 != n:
         raise LayoutError(f"expected {n} data rows, found {line - 1}", line)
 

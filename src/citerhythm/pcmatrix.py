@@ -257,6 +257,16 @@ class CkProfile(_Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _counts(self.values, "profile value"))
 
+    @classmethod
+    def _of(cls, values: tuple[float, ...], source_label: str) -> "CkProfile":
+        """A profile of values that are already finite, non-negative floats,
+        without checking them again. Only for values checked as
+        ``_counts`` checks them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        object.__setattr__(p, "source_label", source_label)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.values)

@@ -193,14 +193,16 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     row or age of every window) at a time from running sums, with no window
     matrix. None where the windows must be computed one by one: cells that
     are not whole or sum to ``_EXACT_WHOLE`` or more, a window whose first
-    year has no publications, an expected value of 0, or a failed check.
+    year has no publications, or a failed check.
 
     The windows add exactly the publications and the first ``w`` diagonals
     of ``m.cites``. Whole counts whose float sum stays below
     ``_EXACT_WHOLE`` add exactly at every step, so any sum of them, in any
     order, equals the window's own ``sum``; the per-age averages, running
     averages, expected values and ratios then repeat the float operations
-    of ``_profile``, ``_expected`` and ``_assemble`` exactly."""
+    of ``_profile``, ``_expected`` and ``_assemble`` exactly. The per-age
+    averages of all windows are checked once, as ``CkProfile`` checks
+    each window's."""
     n, pubs, label = m.n, m.pubs, m.label
     count = n - w + 1
     diagonals = [list(map(operator.itemgetter(a), m.cites[: n - a])) for a in range(w)]
@@ -215,40 +217,48 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
         return None
     rows = [list(accumulate(row[:w], initial=0.0)) for row in m.cites]
     ages, observed, expected, ratios = [], [], [], []
+    undefined = set()  # windows with a year whose expected value is 0
     for a, sums in enumerate(running):
         # Age a of window s: diagonal a over its first w - a years.
         ck = list(map(operator.truediv, map(operator.sub, sums[w - a :], sums),
                       map(operator.sub, cumulative[w - a :], cumulative)))
         running[a] = None
+        # CkProfile's check, for this age of every window at once.
+        if not (min(ck) >= 0 and math.isfinite(sum(ck))):
+            return None
         mean = ck if a == 0 else list(map(operator.add, mean, ck))
         ages.append(ck)
         # Row t = w - 1 - a of each window expects its publications times
         # the running average up to age a.
         t = w - 1 - a
         e = list(map(operator.mul, pubs[t : t + count], mean))
-        if not min(e) > 0:
-            return None
         o = list(map(operator.itemgetter(w - t), rows[t : t + count]))
         expected.append(e)
         observed.append(o)
-        ratios.append(list(map(operator.truediv, o, e)))
+        if min(e) > 0:
+            ratios.append(list(map(operator.truediv, o, e)))
+        else:  # no ratio where nothing is expected, as in _assemble
+            ratios.append([x / y if y > 0 else None for x, y in zip(o, e)])
+            undefined.update(s for s, y in enumerate(e) if not y > 0)
     del rows, cumulative
     # The row columns came last row first.
     entries = []
-    for start, o, e, r, values in zip(range(m.first_year, m.first_year + count),
-                                      zip(*reversed(observed)), zip(*reversed(expected)),
-                                      zip(*reversed(ratios)), zip(*ages)):
+    for s, (start, o, e, r, values) in enumerate(zip(
+            range(m.first_year, m.first_year + count), zip(*reversed(observed)),
+            zip(*reversed(expected)), zip(*reversed(ratios)), zip(*ages))):
+        years = tuple(range(start, start + w))
         total = sum(e)
-        i1 = sum(o) / total
-        i2 = sum(r) / w
-        if not all(map(math.isfinite, (total, max(r), i1, i2))):
-            return None
-        try:
-            profile = CkProfile(values=values, source_label=label)
-        except DomainError:
+        i1 = sum(o) / total if total > 0 else None
+        # I1 and I2 by _assemble's rules, which only windows in ``undefined`` need in full.
+        if s in undefined:
+            none = tuple(year for year, ratio in zip(years, r) if ratio is None)
+            i2, top = None, max(filter(None, r), default=0.0)
+        else:
+            none, i2, top = (), sum(r) / w, max(r)
+        if not all(map(math.isfinite, (total, top, i1 or 0.0, i2 or 0.0))):
             return None
         entries.append((start, RhythmSequence(
-            years=tuple(range(start, start + w)), observed=o, expected=e, ratios=r,
-            observed_label=label, profile=profile, i1=i1, i2=i2, undefined_years=(),
+            years=years, observed=o, expected=e, ratios=r, observed_label=label,
+            profile=CkProfile._of(values, label), i1=i1, i2=i2, undefined_years=none,
         )))
     return entries

@@ -1,13 +1,15 @@
 """Shared test utilities: seeded random and all-zero matrices, scaled copies,
-and the window-by-window reference of ``sliding_windows``.
+the window-by-window reference of ``sliding_windows``, and the comparison
+of the two matrix CSV readers.
 
-This module needs no pytest: ``windows_match_one_by_one`` also runs as a
-plain script under any interpreter the package supports.
+This module needs no pytest: run as a plain script, it checks
+``windows_match_one_by_one`` and ``readers_agree`` on seeded inputs under
+any interpreter the package supports.
 """
 
 import random
 
-from citerhythm import PCMatrix, internal_rhythm, sliding_windows
+from citerhythm import PCMatrix, internal_rhythm, parse_matrix, sliding_windows, write_matrix
 
 
 def random_matrix(
@@ -113,6 +115,59 @@ def windows_match_one_by_one(m: PCMatrix, w: int) -> bool:
     return fast == slow
 
 
+# Cell texts that damage a matrix CSV: bad, non-finite, blank or merely
+# unusual counts.
+CELL_TOKENS = ["-1", "x", "nan", "inf", "-inf", "1e999", "1e308", "", "0", "-0", " 3 ", "1.5"]
+
+
+def quote_header(text: str) -> str:
+    """``text`` with the first field of its header quoted (``"year",pubs,...``),
+    which makes ``parse_matrix`` read the document with ``csv.reader``."""
+    return '"' + text[:4] + '"' + text[4:] if text.startswith("year") else text
+
+
+def parse_outcome(text: str):
+    """What ``parse_matrix`` gives for ``text``: the matrix's ``repr`` (which
+    tells -0.0 from 0.0), or the error's type, message, line and column."""
+    try:
+        return repr(parse_matrix(text))
+    except Exception as e:  # the error itself is the outcome compared
+        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None)
+
+
+def readers_agree(text: str) -> bool:
+    """Whether ``text`` parses, or fails, the same when its header is quoted,
+    so that ``csv.reader`` reads it instead of the line splitter."""
+    return parse_outcome(text) == parse_outcome(quote_header(text))
+
+
+def damaged_document(rng: random.Random) -> str:
+    """A matrix CSV of 1-8 years with up to three cells replaced by
+    ``CELL_TOKENS``, and sometimes CRLF line ends, a blank, missing or extra
+    row, or a cell too many or too few."""
+    n = rng.randint(1, 8)
+    lines = write_matrix(random_matrix(rng, n=n, min_pubs=0, max_cites=9)).splitlines()
+    grid = [line.split(",") for line in lines]
+    for _ in range(rng.randint(0, 3)):
+        row = rng.choice(grid[1:])
+        row[rng.randrange(len(row))] = rng.choice(CELL_TOKENS)
+    lines = [",".join(row) for row in grid]
+    damage = rng.choice(["", "", "crlf", "blank", "missing", "extra", "cell+", "cell-"])
+    i = rng.randint(1, n)
+    if damage == "blank":
+        lines.insert(i, "")
+    elif damage == "missing":
+        del lines[i]
+    elif damage == "extra":
+        lines.append(f"{2000 + n},1" + ",0" * n)
+    elif damage == "cell+":
+        lines[i] += ",0"
+    elif damage == "cell-":
+        lines[i] = lines[i].rpartition(",")[0]
+    end = "\r\n" if damage == "crlf" else "\n"
+    return end.join(lines) + end
+
+
 if __name__ == "__main__":
     import sys
 
@@ -122,7 +177,17 @@ if __name__ == "__main__":
     cases = [(m, w) for m in (window_matrix(rng) for _ in range(3000)) for w in range(1, m.n + 1)]
     differ = [(m, w) for m, w in cases if not windows_match_one_by_one(m, w)]
     at_once = sum(rhythm._all_windows(m, w) is not None for m, w in cases)
-    print(f"Python {sys.version.split()[0]}: {len(cases)} (matrix, width) cases, "
+    version = f"Python {sys.version.split()[0]}"
+    print(f"{version}: {len(cases)} (matrix, width) cases, "
           f"{at_once} computed all at once, "
           f"{len(differ)} differ from window-by-window rhythms")
-    sys.exit(1 if differ else 0)
+
+    documents = [damaged_document(rng) for _ in range(3000)]
+    disagree = [text for text in documents if not readers_agree(text)]
+    parsed = sum(isinstance(parse_outcome(text), str) for text in documents)
+    # A NUL is an ordinary character to the line splitter on every version.
+    nul = parse_outcome("year,pubs,2020\n2020,1\x00,1\n")
+    nul_ok = nul == ("MatrixParseError", "line 2, column 2: not a number: '1\\x00'", 2, 2)
+    print(f"{version}: {len(documents)} documents, {parsed} parsed, "
+          f"{len(disagree)} read differently with a quoted header; NUL cell: {nul}")
+    sys.exit(1 if differ or disagree or not nul_ok else 0)

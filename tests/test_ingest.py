@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -31,7 +32,7 @@ from citerhythm import (
 )
 from citerhythm import ingest
 from citerhythm.ingest import _format_count, _lines
-from helpers import random_matrix, zero
+from helpers import CELL_TOKENS, parse_outcome, quote_header, random_matrix, zero
 
 FIXTURES = [
     "china.csv",
@@ -41,6 +42,30 @@ FIXTURES = [
     "scim_minus_brazil_netherlands.csv",
     "scim_total.csv",
 ]
+
+
+# Both readers of a matrix CSV: "split" parses the document as written,
+# which has no quotes; "csv" quotes the first field of its header, so
+# csv.reader reads it, and requires the same matrix or error as "split".
+READERS = ["split", "csv"]
+
+
+def _parse(reader: str, text: str) -> PCMatrix:
+    if reader == "csv":
+        quoted = quote_header(text)
+        assert quoted != text
+        assert parse_outcome(quoted) == parse_outcome(text)
+        text = quoted
+    return parse_matrix(text)
+
+
+def _with_readers(names: str, cases: list[tuple], ids: list[str]):
+    """Parameters ``names`` plus ``reader``: the cases as given, under their
+    ids, read by splitting lines, then each again through csv.reader."""
+    return pytest.mark.parametrize(f"{names},reader", [
+        *(pytest.param(*case, "split", id=i) for case, i in zip(cases, ids)),
+        *(pytest.param(*case, "csv", id=f"{i}-csv") for case, i in zip(cases, ids)),
+    ])
 
 
 class TestParse:
@@ -88,44 +113,49 @@ class TestParse:
         with pytest.raises(LayoutError):
             parse_matrix(text)
 
-    @pytest.mark.parametrize(
+    @_with_readers(
         "body,line,message",
         [
             ("2020,1," + "1" * 131_073 + "\n", 2, "field larger than field limit (131072)"),
             ("2020,1\r,2\n", 2, "carriage return without line feed"),
+            # A count that converts, but is longer than csv's field limit.
+            ("2020,1," + "0" * 131_073 + "\n", 2, "field larger than field limit (131072)"),
         ],
-        ids=["field-limit", "bare-cr"],
+        ids=["field-limit", "bare-cr", "field-limit-number"],
     )
-    def test_csv_reader_errors_positioned(self, body, line, message):
+    def test_csv_reader_errors_positioned(self, body, line, message, reader):
         with pytest.raises(LayoutError) as err:
-            parse_matrix("year,pubs,2020\n" + body)
+            _parse(reader, "year,pubs,2020\n" + body)
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}: {message}")
 
-    @pytest.mark.parametrize(
+    @_with_readers(
         "rows,message",
         [
             # A blank line is a row of its own, reported before the row count.
             (["2020,3,1,2", "", "2021,4,,5"], "line 3: expected 4 cells, found 0"),
             (["2020,3,1,2"], "line 2: expected 2 data rows, found 1"),
             (["2020,3,1,2", "2021,4,,5", "2022,1,,"], "line 4: expected 2 data rows, found 3"),
+            # A count in place of the blank, with the row one cell short.
+            (["2020,3,1,2", "2021,4,1.5"], "line 3: expected 4 cells, found 3"),
         ],
-        ids=["blank", "missing", "extra"],
+        ids=["blank", "missing", "extra", "short"],
     )
-    def test_row_shape_reported_at_its_line(self, rows, message):
+    def test_row_shape_reported_at_its_line(self, rows, message, reader):
         with pytest.raises(LayoutError) as err:
-            parse_matrix("year,pubs,2020,2021\n" + "\n".join(rows) + "\n")
+            _parse(reader, "year,pubs,2020,2021\n" + "\n".join(rows) + "\n")
         assert str(err.value) == message
 
     def test_line_endings(self):
         text = "year,pubs,2020,2021\n2020,1,2,3\n2021,4,,5\n"
-        assert parse_matrix(text.replace("\n", "\r\n")) == parse_matrix(text)
-        with pytest.raises(LayoutError) as err:
-            parse_matrix("year,pubs,2020\r2020,1,1\r")
-        assert err.value.line == 1
-        assert str(err.value) == (
-            "line 1: carriage return without line feed; lines must end in LF or CRLF"
-        )
+        for reader in READERS:
+            assert _parse(reader, text.replace("\n", "\r\n")) == parse_matrix(text)
+            with pytest.raises(LayoutError) as err:
+                _parse(reader, "year,pubs,2020\r2020,1,1\r")
+            assert err.value.line == 1
+            assert str(err.value) == (
+                "line 1: carriage return without line feed; lines must end in LF or CRLF"
+            )
 
     @pytest.mark.parametrize("token", ["nan", "inf", "1e999", "NaN", "Infinity"])
     def test_non_finite_cell_position_reported(self, token):
@@ -156,7 +186,7 @@ class TestParse:
             parse_matrix(text)
         assert str(err.value).startswith(message)
 
-    @pytest.mark.parametrize(
+    @_with_readers(
         "text,error,line,column",
         [
             # A bad year comes before a short row further down.
@@ -174,9 +204,9 @@ class TestParse:
         ],
         ids=["year-before-short-row", "header-before-field-limit", "cell-before-row-count"],
     )
-    def test_first_fault_in_reading_order(self, text, error, line, column):
+    def test_first_fault_in_reading_order(self, text, error, line, column, reader):
         with pytest.raises(RhythmError) as err:
-            parse_matrix(text)
+            _parse(reader, text)
         assert type(err.value) is error
         assert (err.value.line, err.value.column) == (line, column)
 
@@ -202,6 +232,27 @@ class TestParse:
         m = parse_matrix("year,pubs,2020,2021\n2020,1,1e308,1e308\n2021,1,,3\n")
         assert m == PCMatrix(2020, (1.0, 1.0), ((1e308, 1e308), (3.0,)))
 
+    def test_nul_cell_is_not_a_number(self):
+        # A document without quotes never meets csv's NUL rule, which
+        # differs between Python versions.
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix("year,pubs,2020\n2020,1\x00,1\n")
+        assert type(err.value) is MatrixParseError
+        assert (err.value.line, err.value.column) == (2, 2)
+        assert str(err.value) == "line 2, column 2: not a number: '1\\x00'"
+
+    def test_documents_without_quotes_skip_the_csv_reader(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        for name in FIXTURES:
+            assert parse_matrix(fixture_path(name).read_text(encoding="utf-8")).n == 10
+        m = random_matrix(random.Random(300), n=300, min_pubs=0, max_cites=99)
+        assert parse_matrix(write_matrix(m)) == m
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            parse_matrix(quote_header(write_matrix(m)))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -216,9 +267,6 @@ class TestParse:
     def test_layout_errors(self, text):
         with pytest.raises(LayoutError):
             parse_matrix(text)
-
-
-_TOKENS = ["-1", "x", "nan", "inf", "-inf", "1e999", "1e308", "", "0", "-0", " 3 ", "1.5"]
 
 
 def _expected_parse(first_year: int, grid: list[list[str]]):
@@ -259,7 +307,7 @@ def damaged_documents(draw):
     for _ in range(draw(st.integers(1, 2))):
         t = draw(st.integers(0, n - 1))
         column = draw(st.integers(2, n + 2))
-        grid[t][column - 1] = draw(st.sampled_from(_TOKENS))
+        grid[t][column - 1] = draw(st.sampled_from(CELL_TOKENS))
     text = "\n".join([lines[0], *(",".join(row) for row in grid)]) + "\n"
     return text, grid
 
@@ -311,18 +359,20 @@ def test_error_position_matches_its_message(tmp_path, name, raw, error, line, co
 
 def _assert_parses_as_expected(text: str, grid: list[list[str]]) -> None:
     expected = _expected_parse(2000, grid)
-    if isinstance(expected, PCMatrix):
-        # repr tells -0.0 from 0.0, which == does not.
-        assert repr(parse_matrix(text)) == repr(expected)
-        return
-    kind, line, column = expected
-    with pytest.raises(RhythmError) as err:
-        parse_matrix(text)
-    assert type(err.value) is kind
-    assert str(err.value).startswith(f"line {line}, column {column}: ")
+    for reader in READERS:
+        if isinstance(expected, PCMatrix):
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(_parse(reader, text)) == repr(expected)
+            continue
+        kind, line, column = expected
+        with pytest.raises(RhythmError) as err:
+            _parse(reader, text)
+        assert type(err.value) is kind
+        assert str(err.value).startswith(f"line {line}, column {column}: ")
 
 
 class TestParseEqualsCellByCellCheck:
+    # Each document is read by both readers.
     @given(damaged_documents())
     def test_parse_or_first_bad_cell(self, document):
         _assert_parses_as_expected(*document)

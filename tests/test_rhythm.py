@@ -281,6 +281,14 @@ class TestSlidingWindows:
         monkeypatch.setattr(PCMatrix, "window", refuse)
         assert len(sliding_windows(brazil, 4).entries) == brazil.n - 3
         assert len(sliding_windows(random_matrix(random.Random(5), n=30), 20).entries) == 11
+        # A last year without publications has expected value 0 in the
+        # windows that end there: no ratio, no I2, and no window matrix.
+        m = random_matrix(random.Random(5), n=30)
+        m = PCMatrix(m.first_year, m.pubs[:-1] + (0.0,), m.cites, m.label)
+        entries = sliding_windows(m, 20).entries
+        assert [seq.undefined_years for _, seq in entries] == [()] * 10 + [(m.last_year,)]
+        assert entries[-1][1].ratios[-1] is entries[-1][1].i2 is None
+        assert entries[-1][1].i1 is not None
         fractional = random_matrix(random.Random(5), n=6, fractional=True)
         with pytest.raises(AssertionError, match="window matrix built"):
             sliding_windows(fractional, 3)
