@@ -224,11 +224,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         )
         corpus_b = generate(args.seed * 100_003 + 2 * trial, cspec)
         corpus_a = generate(args.seed * 100_003 + 2 * trial + 1, cspec)
-        internal_diff = max_relative_difference(
-            internal_rhythm(aggregate(corpus_b)), brute_force_rhythm(corpus_b)
-        )
+        b = aggregate(corpus_b)
+        internal_diff = max_relative_difference(internal_rhythm(b), brute_force_rhythm(corpus_b))
         cross_diff = max_relative_difference(
-            cross_rhythm(aggregate(corpus_b), aggregate(corpus_a)),
+            cross_rhythm(b, aggregate(corpus_a)),
             brute_force_rhythm(corpus_b, corpus_a),
         )
         checks.append((f"trial {trial} internal", internal_diff))

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DomainError, LayoutError, ManifestError, MatrixParseError, RhythmError
-from .pcmatrix import PCMatrix, _Record
+from .pcmatrix import PCMatrix, _are_counts, _Record
 
 __all__ = [
     "MatrixFile",
@@ -145,7 +145,7 @@ def _bulk_counts(
         cells = tuple(map(convert, texts))
     except ValueError:
         return None
-    if checked or (value >= 0 and min(cells) >= 0 and math.isfinite(sum(cells, value))):
+    if checked or (0 <= value < math.inf and _are_counts(cells)):
         return value, cells
     return None
 

@@ -109,11 +109,15 @@ def _profile(diagonals: Iterable[float], cumulative_pubs: Sequence[float], label
     return CkProfile(values=tuple(values), source_label=label)
 
 
+def _are_counts(values: Sequence[float]) -> bool:
+    """Whether every value is finite and >= 0, as a minimum >= 0 and a finite sum say."""
+    return min(values, default=0.0) >= 0 and math.isfinite(sum(values))
+
+
 def _counts(values: Iterable[float], what: str) -> tuple[float, ...]:
     counts = tuple(map(float, values))
-    # A finite sum and a minimum >= 0 make every count finite and
-    # non-negative; otherwise walk the counts for the first bad one.
-    if not (math.isfinite(sum(counts)) and min(counts, default=0.0) >= 0):
+    # Where a count is bad, walk the counts for the first one.
+    if not _are_counts(counts):
         for count in counts:
             if not math.isfinite(count):
                 raise DomainError(f"{what} must be finite, got {count!r}")

@@ -18,7 +18,15 @@ import operator
 from itertools import accumulate, chain
 
 from .errors import AlignmentError, DomainError, WindowError
-from .pcmatrix import _EXACT_WHOLE, CkProfile, PCMatrix, _check_aligned, _Record, ck_profile
+from .pcmatrix import (
+    _EXACT_WHOLE,
+    CkProfile,
+    PCMatrix,
+    _are_counts,
+    _check_aligned,
+    _Record,
+    ck_profile,
+)
 
 __all__ = [
     "RhythmPoint",
@@ -105,44 +113,39 @@ def _expected(m: PCMatrix, profile: CkProfile) -> tuple[float, ...]:
     # the sum of the first n - t profile values: the running sums, read
     # backwards.
     cumulative = reversed(tuple(accumulate(profile.values)))
-    expected = tuple(map(operator.mul, m.pubs, cumulative))
+    return tuple(map(operator.mul, m.pubs, cumulative))
+
+
+def _sequence(years: tuple[int, ...], observed: tuple[float, ...], expected: tuple[float, ...],
+              ratios: tuple[float | None, ...], label: str, profile: CkProfile) -> RhythmSequence:
+    """The rhythm of the given columns, whose ratios are None exactly where
+    expected is not > 0. Raises ``DomainError`` where the expected values,
+    a ratio, I1 or I2 pass the largest float."""
+    total = sum(expected)
     # Every value is >= 0 (or NaN, from 0 * inf), so a finite total makes
     # every value finite.
-    if not math.isfinite(sum(expected)):
+    if not math.isfinite(total):
+        raise DomainError(f"{label or 'matrix'}: expected citations sum past the largest float")
+    i1 = sum(observed) / total if total > 0 else None
+    if min(expected) > 0:
+        undefined, i2, top = (), sum(ratios) / len(ratios), max(ratios)
+    else:
+        undefined = tuple(year for year, ratio in zip(years, ratios) if ratio is None)
+        i2, top = None, max(filter(None, ratios), default=0.0)  # ratios are >= 0
+    # A tiny expected value can still put a ratio, or the sum of the
+    # ratios, past the largest float.
+    if not all(map(math.isfinite, (top, i1 or 0.0, i2 or 0.0))):
         raise DomainError(
-            f"{m.label or 'matrix'}: expected citations sum past the largest float"
+            f"{label or 'matrix'}: observed-to-expected ratios pass the largest float"
         )
-    return expected
+    return RhythmSequence(years, observed, expected, ratios, label, profile, i1, i2, undefined)
 
 
-def _assemble(observed_source: PCMatrix, profile: CkProfile) -> RhythmSequence:
-    m = observed_source
+def _assemble(m: PCMatrix, profile: CkProfile) -> RhythmSequence:
     expected = _expected(m, profile)
     observed = m.sums.rows
-    ratios = [obs / exp if exp > 0 else None for obs, exp in zip(observed, expected)]
-    years = m.years
-    undefined = tuple(year for year, ratio in zip(years, ratios) if ratio is None)
-    total_expected = sum(expected)
-    i1 = sum(observed) / total_expected if total_expected > 0 else None
-    i2 = None if undefined else sum(ratios) / len(ratios)
-    # A tiny expected value can still put a ratio, or the sum of the
-    # ratios, past the largest float. Ratios are >= 0; filter drops None.
-    summaries = (max(filter(None, ratios), default=0.0), i1 or 0.0, i2 or 0.0)
-    if not all(map(math.isfinite, summaries)):
-        raise DomainError(
-            f"{m.label or 'matrix'}: observed-to-expected ratios pass the largest float"
-        )
-    return RhythmSequence(
-        years=years,
-        observed=observed,
-        expected=expected,
-        ratios=tuple(ratios),
-        observed_label=m.label,
-        profile=profile,
-        i1=i1,
-        i2=i2,
-        undefined_years=undefined,
-    )
+    ratios = tuple([obs / exp if exp > 0 else None for obs, exp in zip(observed, expected)])
+    return _sequence(m.years, observed, expected, ratios, m.label, profile)
 
 
 def internal_rhythm(m: PCMatrix) -> RhythmSequence:
@@ -192,8 +195,8 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     """The entries of ``sliding_windows(m, w)``, computed one column (one
     row or age of every window) at a time from running sums, with no window
     matrix. None where the windows must be computed one by one: cells that
-    are not whole or sum to ``_EXACT_WHOLE`` or more, a window whose first
-    year has no publications, or a failed check.
+    are not whole or sum to ``_EXACT_WHOLE`` or more, or a window whose
+    first year has no publications.
 
     The windows add exactly the publications and the first ``w`` diagonals
     of ``m.cites``. Whole counts whose float sum stays below
@@ -202,7 +205,10 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     averages, expected values and ratios then repeat the float operations
     of ``_profile``, ``_expected`` and ``_assemble`` exactly. The per-age
     averages of all windows are checked once, as ``CkProfile`` checks
-    each window's."""
+    each window's; ``_sequence`` checks and builds each window's rhythm.
+    No window fails there (a positive expected value is at least 2**-53);
+    were one to, the first to fail raises what it raises window by window,
+    since every earlier window has passed every check."""
     n, pubs, label = m.n, m.pubs, m.label
     count = n - w + 1
     diagonals = [list(map(operator.itemgetter(a), m.cites[: n - a])) for a in range(w)]
@@ -216,15 +222,15 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     if not (cumulative[-1] < _EXACT_WHOLE and sum(r[-1] for r in running) < _EXACT_WHOLE):
         return None
     rows = [list(accumulate(row[:w], initial=0.0)) for row in m.cites]
-    ages, observed, expected, ratios = [], [], [], []
-    undefined = set()  # windows with a year whose expected value is 0
+    # Per age, every window's Ck; per row of a window, every window's values.
+    ages, observed, expected, ratios = [], [None] * w, [None] * w, [None] * w
     for a, sums in enumerate(running):
         # Age a of window s: diagonal a over its first w - a years.
         ck = list(map(operator.truediv, map(operator.sub, sums[w - a :], sums),
                       map(operator.sub, cumulative[w - a :], cumulative)))
         running[a] = None
         # CkProfile's check, for this age of every window at once.
-        if not (min(ck) >= 0 and math.isfinite(sum(ck))):
+        if not _are_counts(ck):
             return None
         mean = ck if a == 0 else list(map(operator.add, mean, ck))
         ages.append(ck)
@@ -233,32 +239,15 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
         t = w - 1 - a
         e = list(map(operator.mul, pubs[t : t + count], mean))
         o = list(map(operator.itemgetter(w - t), rows[t : t + count]))
-        expected.append(e)
-        observed.append(o)
+        observed[t], expected[t] = o, e
         if min(e) > 0:
-            ratios.append(list(map(operator.truediv, o, e)))
+            ratios[t] = list(map(operator.truediv, o, e))
         else:  # no ratio where nothing is expected, as in _assemble
-            ratios.append([x / y if y > 0 else None for x, y in zip(o, e)])
-            undefined.update(s for s, y in enumerate(e) if not y > 0)
+            ratios[t] = [x / y if y > 0 else None for x, y in zip(o, e)]
     del rows, cumulative
-    # The row columns came last row first.
     entries = []
-    for s, (start, o, e, r, values) in enumerate(zip(
-            range(m.first_year, m.first_year + count), zip(*reversed(observed)),
-            zip(*reversed(expected)), zip(*reversed(ratios)), zip(*ages))):
+    for start, o, e, r, ck in zip(range(m.first_year, m.first_year + count), zip(*observed),
+                                  zip(*expected), zip(*ratios), zip(*ages)):
         years = tuple(range(start, start + w))
-        total = sum(e)
-        i1 = sum(o) / total if total > 0 else None
-        # I1 and I2 by _assemble's rules, which only windows in ``undefined`` need in full.
-        if s in undefined:
-            none = tuple(year for year, ratio in zip(years, r) if ratio is None)
-            i2, top = None, max(filter(None, r), default=0.0)
-        else:
-            none, i2, top = (), sum(r) / w, max(r)
-        if not all(map(math.isfinite, (total, top, i1 or 0.0, i2 or 0.0))):
-            return None
-        entries.append((start, RhythmSequence(
-            years=years, observed=o, expected=e, ratios=r, observed_label=label,
-            profile=CkProfile._of(values, label), i1=i1, i2=i2, undefined_years=none,
-        )))
+        entries.append((start, _sequence(years, o, e, r, label, CkProfile._of(ck, label))))
     return entries

@@ -1,15 +1,17 @@
 """Shared test utilities: seeded random and all-zero matrices, scaled copies,
-the window-by-window reference of ``sliding_windows``, and the comparison
-of the two matrix CSV readers.
+the window-by-window reference of ``sliding_windows`` and its rule for
+computing all windows at once, and the comparison of the two matrix CSV
+readers.
 
 This module needs no pytest: run as a plain script, it checks
-``windows_match_one_by_one`` and ``readers_agree`` on seeded inputs under
-any interpreter the package supports.
+``windows_match_one_by_one``, ``routed_by_rule`` and ``readers_agree`` on
+seeded inputs under any interpreter the package supports.
 """
 
 import random
 
 from citerhythm import PCMatrix, internal_rhythm, parse_matrix, sliding_windows, write_matrix
+from citerhythm import rhythm
 
 
 def random_matrix(
@@ -115,6 +117,25 @@ def windows_match_one_by_one(m: PCMatrix, w: int) -> bool:
     return fast == slow
 
 
+def computed_at_once(m: PCMatrix, w: int) -> bool:
+    """Whether ``sliding_windows(m, w)`` computes all windows at once, by its
+    rule: every publication cell and every cell of the first ``w``
+    diagonals is whole, the publications and those cells each sum to less
+    than 2**53, and every window's first year has publications."""
+    cells = [c for row in m.cites for c in row[:w]]
+    if not all(x.is_integer() for x in (*m.pubs, *cells)):
+        return False
+    if not (sum(map(int, m.pubs)) < 2**53 and sum(map(int, cells)) < 2**53):
+        return False
+    return all(p > 0 for p in m.pubs[: m.n - w + 1])
+
+
+def routed_by_rule(m: PCMatrix, w: int) -> bool:
+    """Whether ``rhythm._all_windows(m, w)`` returns a result exactly where
+    ``computed_at_once`` says it does."""
+    return (rhythm._all_windows(m, w) is not None) == computed_at_once(m, w)
+
+
 # Cell texts that damage a matrix CSV: bad, non-finite, blank or merely
 # unusual counts.
 CELL_TOKENS = ["-1", "x", "nan", "inf", "-inf", "1e999", "1e308", "", "0", "-0", " 3 ", "1.5"]
@@ -171,15 +192,15 @@ def damaged_document(rng: random.Random) -> str:
 if __name__ == "__main__":
     import sys
 
-    from citerhythm import rhythm
-
     rng = random.Random(2026)
     cases = [(m, w) for m in (window_matrix(rng) for _ in range(3000)) for w in range(1, m.n + 1)]
     differ = [(m, w) for m, w in cases if not windows_match_one_by_one(m, w)]
     at_once = sum(rhythm._all_windows(m, w) is not None for m, w in cases)
+    misrouted = [(m, w) for m, w in cases if not routed_by_rule(m, w)]
     version = f"Python {sys.version.split()[0]}"
     print(f"{version}: {len(cases)} (matrix, width) cases, "
           f"{at_once} computed all at once, "
+          f"{len(misrouted)} routed against the rule, "
           f"{len(differ)} differ from window-by-window rhythms")
 
     documents = [damaged_document(rng) for _ in range(3000)]
@@ -190,4 +211,4 @@ if __name__ == "__main__":
     nul_ok = nul == ("MatrixParseError", "line 2, column 2: not a number: '1\\x00'", 2, 2)
     print(f"{version}: {len(documents)} documents, {parsed} parsed, "
           f"{len(disagree)} read differently with a quoted header; NUL cell: {nul}")
-    sys.exit(1 if differ or disagree or not nul_ok else 0)
+    sys.exit(1 if differ or misrouted or disagree or not nul_ok else 0)

@@ -22,11 +22,11 @@ from citerhythm import (
     sliding_windows,
     summary_i2_lenient,
 )
-from citerhythm import rhythm
 from citerhythm.cli import main
 from helpers import (
     random_matrix,
     rel_err,
+    routed_by_rule,
     scale_cites,
     scale_pubs,
     window_matrix,
@@ -172,6 +172,13 @@ class TestOverflowingResults:
         with pytest.raises(DomainError, match="^tiny: observed-to-expected ratios pass"):
             internal_rhythm(m)
 
+    def test_overflowing_observed_sums_reported_first(self):
+        # The observed row sums are read before the expected total is
+        # checked, so where both overflow the counts are named.
+        m = PCMatrix(2000, (1e300, 1e300), ((1e308, 1e308), (1e308,)), "obs")
+        with pytest.raises(DomainError, match="^obs: counts sum past the largest float"):
+            cross_rhythm(m, CkProfile((1e10, 0.0), "p"))
+
     def test_ratio_sum_rejected(self):
         # Both ratios are 1.6e308; only their sum, behind I2, overflows.
         m = PCMatrix(2000, (1.0, 2.0), ((8e307, 0.0), (8e307,)), "obs")
@@ -265,14 +272,14 @@ class TestSlidingWindows:
     def test_internal_mode_matches_manual_extraction(self, brazil):
         # Whole, fractional, near-2**53 and extreme counts, years without
         # publications and undefined ratios; failing inputs must raise the
-        # same error. Whole counts must take the all-windows path often.
+        # same error. The all-windows path takes exactly the inputs its
+        # rule names.
         rng = random.Random(26)
         cases = [(brazil, 4)] + [
             (m, w) for m in (window_matrix(rng) for _ in range(400)) for w in range(1, m.n + 1)
         ]
         assert [(m.label, w) for m, w in cases if not windows_match_one_by_one(m, w)] == []
-        at_once = sum(rhythm._all_windows(m, w) is not None for m, w in cases)
-        assert at_once > len(cases) / 5
+        assert [(m.label, w) for m, w in cases if not routed_by_rule(m, w)] == []
 
     def test_whole_counts_build_no_window_matrix(self, brazil, monkeypatch):
         def refuse(*args):
