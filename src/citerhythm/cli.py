@@ -170,11 +170,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_windows(args: argparse.Namespace) -> int:
     m = read_matrix_file(args.matrix).matrix
+    # The windows come first: they reject a width before a column is named.
+    rows = [[str(start), str(start + args.width - 1), seq.i1, seq.i2, *seq.ratios]
+            for start, seq in sliding_windows(m, args.width).entries]
     headers = ["start", "end", "i1", "i2"] + [f"r{i + 1}" for i in range(args.width)]
-    rows = [
-        [str(start), str(start + args.width - 1), seq.i1, seq.i2, *seq.ratios]
-        for start, seq in sliding_windows(m, args.width).entries
-    ]
     title = f"Sliding windows (width {args.width}): {m.label}"
     return _emit(args, title, [], headers, rows, [], [])
 

@@ -98,25 +98,27 @@ def _sums_of_floats(m: PCMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _exact_sums(total: PCMatrix, parts: PCMatrix, constituents: Mapping[str, PCMatrix]):
     """The scale of the matrices' cells, then the cumulative publications
     and diagonal sums of the total and of each constituent, as ints: sums
-    of the cells times that scale. A total cell that ``_same`` calls equal
-    to the constituents' float sum ``parts`` takes their exact sum, so a
-    rest never keeps that sum's rounding. Any other total cell exceeds the
-    float sum by a whole count, where both are whole counts below 2**53
-    (the float sum is then at least any two constituents' exact sum less
-    half a unit), or else by more than 2**-40 of itself, more than a float
-    sum of fewer than 2**13 counts is off by. So no rest cell is negative."""
+    of the cells times that scale. Whole counts whose float sums stay
+    below 2**53 take their exact ``m.sums``, before any cell is compared.
+    Otherwise a total cell that ``_same`` calls equal to the constituents'
+    float sum ``parts`` takes their exact sum, so a rest never keeps that
+    sum's rounding. Any other total cell exceeds the float sum by a whole
+    count, where both are whole counts below 2**53 (the float sum is then
+    at least any two constituents' exact sum less half a unit), or else by
+    more than 2**-40 of itself, more than a float sum of fewer than 2**13
+    counts is off by. So no rest cell is negative."""
     scale = _scale([total, *constituents.values()])
     # Cells whose float sums stay below 2**53 / scale add up exactly: then
     # a total cell that equals the float sum already equals the exact one.
     bound = 2**53 / scale
     rounded = sum(_cells(parts)) >= bound
+    if scale == 1 and not rounded and sum(_cells(total)) < bound:
+        sums = {actor_id: _sums_of_floats(m) for actor_id, m in constituents.items()}
+        return scale, _sums_of_floats(total), sums
     snapped = [
         i for i, (x, y) in enumerate(zip(_cells(total), _cells(parts)))
         if (rounded or x != y) and _same(x, y)
     ]
-    if scale == 1 and not (rounded or snapped) and sum(_cells(total)) < bound:
-        sums = {actor_id: _sums_of_floats(m) for actor_id, m in constituents.items()}
-        return scale, _sums_of_floats(total), sums
     cells = _scaled(total, scale)
     for i in snapped:
         cells[i] = 0

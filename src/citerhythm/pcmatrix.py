@@ -264,8 +264,8 @@ class CkProfile(_Record):
     @classmethod
     def _of(cls, values: tuple[float, ...], source_label: str) -> "CkProfile":
         """A profile of values that are already finite, non-negative floats,
-        without checking them again. Only for values checked as
-        ``_counts`` checks them."""
+        without checking them again: values ``_counts`` has checked, or the
+        all-windows averages, whole sums below 2**53 over positive ones."""
         p = object.__new__(cls)
         object.__setattr__(p, "values", values)
         object.__setattr__(p, "source_label", source_label)

@@ -22,7 +22,6 @@ from .pcmatrix import (
     _EXACT_WHOLE,
     CkProfile,
     PCMatrix,
-    _are_counts,
     _check_aligned,
     _Record,
     ck_profile,
@@ -194,19 +193,20 @@ def sliding_windows(m: PCMatrix, window: int) -> WindowSeries:
 def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None:
     """The entries of ``sliding_windows(m, w)``, computed one column (one
     row or age of every window) at a time from running sums, with no window
-    matrix. None where the windows must be computed one by one: cells that
-    are not whole or sum to ``_EXACT_WHOLE`` or more, or a window whose
-    first year has no publications.
+    matrix. None only at its gate, where the windows must be computed one
+    by one: cells that are not whole or sum to ``_EXACT_WHOLE`` or more, or
+    a window whose first year has no publications.
 
     The windows add exactly the publications and the first ``w`` diagonals
     of ``m.cites``. Whole counts whose float sum stays below
     ``_EXACT_WHOLE`` add exactly at every step, so any sum of them, in any
     order, equals the window's own ``sum``; the per-age averages, running
     averages, expected values and ratios then repeat the float operations
-    of ``_profile``, ``_expected`` and ``_assemble`` exactly. The per-age
-    averages of all windows are checked once, as ``CkProfile`` checks
-    each window's; ``_sequence`` checks and builds each window's rhythm.
-    No window fails there (a positive expected value is at least 2**-53);
+    of ``_profile``, ``_expected`` and ``_assemble`` exactly. Each average
+    divides a whole sum by the publications of years that include the
+    window's first, a positive sum, so every profile is finite and >= 0
+    unchecked. ``_sequence`` checks and builds each window's rhythm, and no
+    window fails there (a positive expected value is at least 2**-53);
     were one to, the first to fail raises what it raises window by window,
     since every earlier window has passed every check."""
     n, pubs, label = m.n, m.pubs, m.label
@@ -229,9 +229,6 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
         ck = list(map(operator.truediv, map(operator.sub, sums[w - a :], sums),
                       map(operator.sub, cumulative[w - a :], cumulative)))
         running[a] = None
-        # CkProfile's check, for this age of every window at once.
-        if not _are_counts(ck):
-            return None
         mean = ck if a == 0 else list(map(operator.add, mean, ck))
         ages.append(ck)
         # Row t = w - 1 - a of each window expects its publications times

@@ -1,17 +1,21 @@
 """Shared test utilities: seeded random and all-zero matrices, scaled copies,
 the window-by-window reference of ``sliding_windows`` and its rule for
-computing all windows at once, and the comparison of the two matrix CSV
-readers.
+computing all windows at once, the comparison of the two matrix CSV
+readers, and a seeded fuzz of the command line over damaged fixtures.
 
 This module needs no pytest: run as a plain script, it checks
-``windows_match_one_by_one``, ``routed_by_rule`` and ``readers_agree`` on
-seeded inputs under any interpreter the package supports.
+``windows_match_one_by_one``, ``routed_by_rule``, ``readers_agree`` and
+``fuzz_cli`` on seeded inputs under any interpreter the package supports.
 """
 
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 
 from citerhythm import PCMatrix, internal_rhythm, parse_matrix, sliding_windows, write_matrix
-from citerhythm import rhythm
+from citerhythm import cli, fixture_path, rhythm
 
 
 def random_matrix(
@@ -189,6 +193,91 @@ def damaged_document(rng: random.Random) -> str:
     return end.join(lines) + end
 
 
+# Bytes that damage a fixture where they are put: numbers a float reads as
+# non-finite, a byte no UTF-8 text has, a byte order mark, and a manifest
+# line that asks for the partition check.
+_FUZZ_TOKENS = [b"nan", b"1e400", b"\xff", b"\xef\xbb\xbf", b"assert_partition = true\n"]
+
+# Every fuzzed command: its name, its input fixture and its options.
+_FUZZ_COMMANDS = [
+    ("internal", "china.csv", []),
+    ("internal", "china.csv", ["--format", "svg"]),
+    ("windows", "china.csv", ["--width", "5"]),
+    ("validate", "scim.manifest", []),
+    ("external", "scim.manifest", ["--actor", "china"]),
+    ("external", "scim.manifest", ["--actor", "china", "--format", "svg"]),
+    ("compare", "scim.manifest", ["--a", "brazil", "--b", "netherlands", "--format", "csv"]),
+]
+
+# The manifest and the matrices it names: every file a fuzzed command reads.
+_FUZZ_FILES = ["scim.manifest", "scim_total.csv", "china.csv", "brazil.csv", "netherlands.csv"]
+
+
+def mutated(data: bytes, rng: random.Random) -> bytes:
+    """``data`` with one byte flipped, a run deleted, a run of it copied
+    elsewhere, or one of ``_FUZZ_TOKENS`` put in, half the time at a line
+    start."""
+    i = rng.randrange(len(data))
+    damage = rng.choice(["flip", "delete", "splice", "token", "line"])
+    if damage == "line":
+        i = data.rfind(b"\n", 0, i) + 1
+    if damage == "flip":
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1 :]
+    if damage == "delete":
+        return data[:i] + data[i + rng.randint(1, 20) :]
+    if damage == "splice":
+        j = rng.randrange(len(data))
+        return data[:i] + data[j : j + rng.randint(1, 40)] + data[i:]
+    return data[:i] + rng.choice(_FUZZ_TOKENS) + data[i:]
+
+
+def ended_cleanly(command: str, code: object, out: str, err: str) -> bool:
+    """Whether a ``cli.main`` call ended as the command line promises:
+    exit 0; exit 1 with one line on stderr that starts ``error: ``; or, for
+    ``validate``, exit 1 with ``FAILED`` on stdout and nothing on stderr.
+    Lines are counted at ``\\n`` alone: a damaged path in an error message
+    may hold U+2028, which ``str.splitlines`` also breaks at."""
+    if code == 0:
+        return True
+    if code != 1:
+        return False
+    if err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"):
+        return True
+    return command == "validate" and "FAILED" in out and err == ""
+
+
+def fuzz_cli(rng: random.Random, cases: int) -> list[tuple[list[str], dict, tuple]]:
+    """Runs ``cases`` calls of ``cli.main``, each on a fresh copy of the
+    bundled fixtures with 1-2 of the command's input files damaged by 1-2
+    ``mutated`` steps, and returns the calls that did not end cleanly: the
+    arguments, the damaged files' bytes and what the call gave."""
+    originals = {name: fixture_path(name).read_bytes() for name in _FUZZ_FILES}
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for _ in range(cases):
+            command, name, options = rng.choice(_FUZZ_COMMANDS)
+            readable = _FUZZ_FILES if name.endswith(".manifest") else [name]
+            damaged = {}
+            for target in rng.sample(readable, min(len(readable), rng.randint(1, 2))):
+                data = originals[target]
+                for _ in range(rng.randint(1, 2)):
+                    data = mutated(data, rng)
+                damaged[target] = data
+            for target, data in originals.items():
+                (work / target).write_bytes(damaged.get(target, data))
+            argv = [command, str(work / name), *options]
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+            except (Exception, SystemExit) as e:  # nothing may escape main
+                code = f"escaped {type(e).__name__}: {e}"
+            if not ended_cleanly(command, code, out.getvalue(), err.getvalue()):
+                failures.append((argv, damaged, (code, out.getvalue()[-500:], err.getvalue())))
+    return failures
+
+
 if __name__ == "__main__":
     import sys
 
@@ -211,4 +300,11 @@ if __name__ == "__main__":
     nul_ok = nul == ("MatrixParseError", "line 2, column 2: not a number: '1\\x00'", 2, 2)
     print(f"{version}: {len(documents)} documents, {parsed} parsed, "
           f"{len(disagree)} read differently with a quoted header; NUL cell: {nul}")
-    sys.exit(1 if differ or misrouted or disagree or not nul_ok else 0)
+
+    fuzzed = 1000
+    crashes = fuzz_cli(rng, fuzzed)
+    for argv, damaged, outcome in crashes[:5]:
+        print(f"  {argv[0]} with damaged {sorted(damaged)}: {outcome!r}")
+    print(f"{version}: {fuzzed} command-line runs on damaged fixtures, "
+          f"{len(crashes)} did not end cleanly")
+    sys.exit(1 if differ or misrouted or disagree or not nul_ok or crashes else 0)

@@ -2,9 +2,11 @@ import csv
 import io
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -15,6 +17,7 @@ import citerhythm
 from citerhythm import PCMatrix, fixture_path, write_matrix
 from citerhythm import cli
 from citerhythm.cli import format_number, main
+from helpers import fuzz_cli
 
 
 def run(capsys, *argv):
@@ -492,6 +495,18 @@ class TestWindows:
         assert code == 1
         assert "width" in err
 
+    def test_huge_width_fails_before_naming_columns(self, capsys):
+        # The width is checked before one column header per year is named.
+        tracemalloc.start()
+        try:
+            code = main(["windows", str(fixture_path("china.csv")), "--width", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: window width 1000000 outside 1..10\n"
+        assert peak < 2**20
+
     def test_svg_not_offered(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["windows", str(fixture_path("china.csv")), "--width", "5",
@@ -601,6 +616,12 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", str(p), "--trials", "1")
         assert code == 1
         assert err == 'error: line 1: header must be "year,pubs,<first citing year>,..."\n'
+
+
+def test_damaged_fixtures_end_cleanly():
+    # Every run on damaged inputs exits 0, or 1 with one error line (or a
+    # FAILED validation report); nothing escapes main.
+    assert fuzz_cli(random.Random(30), 300) == []
 
 
 def test_closed_stdout_ends_quietly():

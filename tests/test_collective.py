@@ -789,7 +789,7 @@ class TestSumsMatchComplements:
         actor_vs_actor(c, "brazil", "netherlands")
         assert calls == ["SCIM"]
 
-    def test_float_sums_of_small_integer_matrices_are_the_exact_sums(self, scim):
+    def test_float_sums_of_small_integer_matrices_are_the_exact_sums(self, monkeypatch, scim):
         # Integer matrices whose cells add up to less than 2**53 take their
         # exact sums from ``m.sums``; summing their cells as ints agrees.
         rng = random.Random(7)
@@ -801,10 +801,16 @@ class TestSumsMatchComplements:
             assert collective._sums_of_floats(m) == collective._sums_of_cells(
                 collective._scaled(m, 1), m.n
             )
-        # Building a collective of them takes that route and leaves each
+        # Building a collective of them takes that route, without comparing
+        # a total cell with the constituents' sum, and leaves each
         # constituent's ``m.sums`` cached, so no comparison adds its cells
         # again.
-        c = load_manifest(fixture_path("scim.manifest"))
+        def refuse(x, y):
+            raise AssertionError("cells compared")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("citerhythm.collective._same", refuse)
+            c = load_manifest(fixture_path("scim.manifest"))
         cached = {a: vars(m).get("sums") for a, m in c.constituents.items()}
         assert None not in cached.values()
         for a, m in c.constituents.items():
