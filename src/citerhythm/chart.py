@@ -7,6 +7,8 @@ parsing the XML.
 
 from __future__ import annotations
 
+import sys
+
 from .rhythm import RhythmSequence
 
 __all__ = ["line_chart"]
@@ -51,14 +53,17 @@ def line_chart(title: str, sequences: list[tuple[str, RhythmSequence]]) -> str:
     """Draw each labelled sequence's defined ratios as one line over the
     first sequence's years, with a horizontal reference line (class
     ``refline``) at 1; the first of two lines is dashed. The y axis always
-    starts at 0 and leaves 10% headroom above the largest ratio."""
+    starts at 0 and leaves 10% headroom above the largest ratio, or as
+    much as the largest float allows."""
     years = sequences[0][1].years
     lines = [
         (label, [(y, r) for y, r in zip(seq.years, seq.ratios) if r is not None])
         for label, seq in sequences
     ]
     dashes = [' stroke-dasharray="6,4"', ""] if len(lines) == 2 else [""] * len(lines)
-    y_max = max([_REFERENCE] + [v for _, points in lines for _, v in points]) * 1.1
+    # Past the largest float the axis would be inf and every coordinate nan.
+    y_max = min(max([_REFERENCE] + [v for _, points in lines for _, v in points]) * 1.1,
+                sys.float_info.max)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -67,8 +67,10 @@ def _cells(m: PCMatrix) -> Iterable[float]:
 
 def _scale(matrices: list[PCMatrix]) -> int:
     """The largest denominator of the matrices' cells, a power of two, so
-    every cell times it is an int; 1 for integer data."""
-    if all(map(float.is_integer, chain.from_iterable(map(_cells, matrices)))):
+    every cell times it is an int. 1 when every matrix is whole
+    (``PCMatrix._whole``, scanned once per matrix); otherwise every cell's
+    denominator is read."""
+    if all(m._whole for m in matrices):
         return 1
     ratios = map(float.as_integer_ratio, chain.from_iterable(map(_cells, matrices)))
     return max(q for _, q in ratios)
@@ -98,8 +100,9 @@ def _sums_of_floats(m: PCMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _exact_sums(total: PCMatrix, parts: PCMatrix, constituents: Mapping[str, PCMatrix]):
     """The scale of the matrices' cells, then the cumulative publications
     and diagonal sums of the total and of each constituent, as ints: sums
-    of the cells times that scale. Whole counts whose float sums stay
-    below 2**53 take their exact ``m.sums``, before any cell is compared.
+    of the cells times that scale. Whole counts (every matrix's ``_whole``)
+    whose float sums stay below 2**53 take their exact ``m.sums``, before
+    any cell is compared.
     Otherwise a total cell that ``_same`` calls equal to the constituents'
     float sum ``parts`` takes their exact sum, so a rest never keeps that
     sum's rounding. Any other total cell exceeds the float sum by a whole
@@ -145,8 +148,10 @@ class Collective(_Record):
     them in O(n). Immutable: the constituents are a read-only copy of
     the mapping passed in. Copies and unpickled collectives are built again
     from ``(label, dict(constituents), total)``, so they re-run the
-    containment check and the exact sums (for 100 integer constituents of
-    30 years, 7-10 ms for a copy and 9-13 ms for an unpickled one).
+    containment check and the exact sums; their matrices keep ``sums`` and
+    ``_whole``, so no cell is scanned for those (for 100 integer
+    constituents of 30 years on a 2-core x86-64 host, about 2.5 ms for a
+    copy and 4.6 ms for an unpickled one).
     """
 
     def __init__(self, label: str, constituents: Mapping[str, PCMatrix],

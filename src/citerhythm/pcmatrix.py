@@ -226,6 +226,13 @@ class PCMatrix(_Record):
         return self._of(self.first_year, self.pubs, self.cites, label)
 
     @cached_property
+    def _whole(self) -> bool:
+        """Whether every count is a whole number, scanned on first read and
+        kept, as ``sums`` is. The collective build and ``sliding_windows``
+        take their exact routes on it."""
+        return all(map(float.is_integer, chain(self.pubs, *self.cites)))
+
+    @cached_property
     def sums(self) -> Sums:
         """Per-year publications, row sums and diagonal sums, computed once.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .errors import AlignmentError, DomainError, WindowError
 from .pcmatrix import (
@@ -194,8 +194,9 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     """The entries of ``sliding_windows(m, w)``, computed one column (one
     row or age of every window) at a time from running sums, with no window
     matrix. None only at its gate, where the windows must be computed one
-    by one: cells that are not whole or sum to ``_EXACT_WHOLE`` or more, or
-    a window whose first year has no publications.
+    by one: a matrix that is not whole (``PCMatrix._whole``), a window
+    whose first year has no publications, or publications or cells of the
+    first ``w`` diagonals that sum to ``_EXACT_WHOLE`` or more.
 
     The windows add exactly the publications and the first ``w`` diagonals
     of ``m.cites``. Whole counts whose float sum stays below
@@ -211,13 +212,12 @@ def _all_windows(m: PCMatrix, w: int) -> list[tuple[int, RhythmSequence]] | None
     since every earlier window has passed every check."""
     n, pubs, label = m.n, m.pubs, m.label
     count = n - w + 1
-    diagonals = [list(map(operator.itemgetter(a), m.cites[: n - a])) for a in range(w)]
     # Each window's first-year publications divide every one of its ages.
-    if not (min(pubs[:count]) > 0 and all(map(float.is_integer, chain(pubs, *diagonals)))):
+    if not (m._whole and min(pubs[:count]) > 0):
         return None
     cumulative = list(accumulate(pubs, initial=0.0))
-    running = [list(accumulate(cells, initial=0.0)) for cells in diagonals]
-    del diagonals
+    running = [list(accumulate(map(operator.itemgetter(a), m.cites[: n - a]), initial=0.0))
+               for a in range(w)]
     # Every partial sum is at most the final one, so the final sums bound them all.
     if not (cumulative[-1] < _EXACT_WHOLE and sum(r[-1] for r in running) < _EXACT_WHOLE):
         return None

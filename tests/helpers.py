@@ -121,14 +121,19 @@ def windows_match_one_by_one(m: PCMatrix, w: int) -> bool:
     return fast == slow
 
 
+def whole_by_scan(m: PCMatrix) -> bool:
+    """Whether every count of ``m`` is a whole number, cell by cell."""
+    return all(x.is_integer() for x in (*m.pubs, *(c for row in m.cites for c in row)))
+
+
 def computed_at_once(m: PCMatrix, w: int) -> bool:
     """Whether ``sliding_windows(m, w)`` computes all windows at once, by its
-    rule: every publication cell and every cell of the first ``w``
-    diagonals is whole, the publications and those cells each sum to less
-    than 2**53, and every window's first year has publications."""
-    cells = [c for row in m.cites for c in row[:w]]
-    if not all(x.is_integer() for x in (*m.pubs, *cells)):
+    rule: every cell of ``m`` is whole, the publications and the cells of
+    the first ``w`` diagonals each sum to less than 2**53, and every
+    window's first year has publications."""
+    if not whole_by_scan(m):
         return False
+    cells = [c for row in m.cites for c in row[:w]]
     if not (sum(map(int, m.pubs)) < 2**53 and sum(map(int, cells)) < 2**53):
         return False
     return all(p > 0 for p in m.pubs[: m.n - w + 1])

@@ -1,3 +1,5 @@
+import math
+import re
 import xml.etree.ElementTree as ET
 
 from citerhythm import PCMatrix, internal_rhythm
@@ -52,3 +54,21 @@ def test_series_without_a_defined_ratio_keeps_its_legend_entry():
     assert _series(root) == []
     (legend,) = [el for el in root.iter(f"{SVG}g") if el.get("class") == "legend"]
     assert legend.find(f"{SVG}text").text == "empty"
+
+
+# Attributes that hold names, colours or a transform rather than numbers.
+TEXT_ATTRIBUTES = {"class", "data-label", "fill", "font-family", "stroke", "text-anchor",
+                   "transform"}
+
+
+def test_ratios_near_the_largest_float_keep_every_coordinate_finite():
+    # Year 2001's ratio is 1.7e308: ten percent of headroom above it passes
+    # the largest float.
+    m = PCMatrix(2000, (1.7e308, 1.0), ((0.0, 0.0), (1e25,)))
+    assert max(internal_rhythm(m).ratios) > 1.7e308 / 1.1
+    root = _chart(m)
+    for el in root.iter():
+        for name, value in el.attrib.items():
+            if name not in TEXT_ATTRIBUTES:
+                assert all(math.isfinite(float(v)) for v in re.split("[ ,]+", value)), (name, value)
+    assert len(_series(root)) == 1

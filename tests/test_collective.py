@@ -797,14 +797,14 @@ class TestSumsMatchComplements:
         matrices += [random_matrix(rng, max_pubs=2**40, max_cites=2**40) for _ in range(20)]
         for m in matrices:
             assert sum(chain(m.pubs, *m.cites)) < 2**53
-            assert collective._scale([m]) == 1
+            assert m._whole and collective._scale([m]) == 1
             assert collective._sums_of_floats(m) == collective._sums_of_cells(
                 collective._scaled(m, 1), m.n
             )
         # Building a collective of them takes that route, without comparing
         # a total cell with the constituents' sum, and leaves each
-        # constituent's ``m.sums`` cached, so no comparison adds its cells
-        # again.
+        # constituent's ``m.sums`` and ``_whole`` cached, so no comparison
+        # adds its cells again.
         def refuse(x, y):
             raise AssertionError("cells compared")
 
@@ -813,6 +813,8 @@ class TestSumsMatchComplements:
             c = load_manifest(fixture_path("scim.manifest"))
         cached = {a: vars(m).get("sums") for a, m in c.constituents.items()}
         assert None not in cached.values()
+        # The build decided wholeness once per matrix and kept the bit.
+        assert all(vars(m).get("_whole") is True for m in (c.total, *c.constituents.values()))
         for a, m in c.constituents.items():
             assert c._exact[a] == collective._sums_of_cells(collective._scaled(m, 1), m.n)
         actor_vs_collective(c, "china")

@@ -16,7 +16,7 @@ from citerhythm import (
     ck_profile,
     subtract,
 )
-from helpers import random_matrix, scale_cites, scale_pubs, zero
+from helpers import random_matrix, scale_cites, scale_pubs, whole_by_scan, zero
 
 
 @st.composite
@@ -74,6 +74,7 @@ def _same(result: PCMatrix, expected: PCMatrix) -> None:
     assert result == expected
     assert result.label == expected.label
     assert result.sums == expected.sums
+    assert result._whole is expected._whole is whole_by_scan(result)
     assert type(result.pubs) is tuple and all(type(x) is float for x in result.pubs)
     assert all(type(row) is tuple for row in result.cites)
 

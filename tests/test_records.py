@@ -329,6 +329,22 @@ def test_matrix_sums_are_cached_and_survive_copies():
     assert pickle.loads(pickle.dumps(m)).sums == m.sums
 
 
+def test_matrix_whole_count_bit_is_uncompared_and_survives_copies():
+    # The bit is scanned on first read and kept, as ``sums`` is.
+    whole = PCMatrix(2000, (1.0, 2.0), ((3.0, 1.0), (4.0,)), "m")
+    fractional = PCMatrix(2000, (1.0,), ((0.5,),))
+    twin = PCMatrix(2000, (1.0, 2.0), ((3.0, 1.0), (4.0,)), "m")
+    assert "_whole" not in vars(whole)
+    assert whole._whole is True and fractional._whole is False
+    assert vars(whole)["_whole"] is True and "_whole" not in vars(twin)
+    assert whole == twin and hash(whole) == hash(twin) and repr(whole) == M_REPR
+    for m, bit in ((whole, True), (fractional, False)):
+        for restored in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert vars(restored)["_whole"] is bit
+            assert restored == m and repr(restored) == repr(m)
+    assert "_whole" not in vars(copy.copy(twin))
+
+
 def test_sequence_points_are_built_from_the_columns_on_each_read():
     seq = RhythmSequence((2000, 2001), (1.0, 3.0), (2.0, 0.0), (0.5, None), "a", PROFILE,
                          2.0, None, (2001,))
